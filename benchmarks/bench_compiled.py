@@ -17,7 +17,7 @@ backends — the table shows those too, honestly.
 
 ``generate_table`` asserts a ≥ :data:`SPEEDUP_FLOOR` geometric-mean
 speedup over the declared :data:`HOT_PATHS` — the regression gate CI's
-``compiled-smoke`` job runs at ``REPRO_SCALE=0.25``.
+``bench-gates`` job runs (via ``run_all.py``) at ``REPRO_SCALE=0.25``.
 
 Run styles:
 

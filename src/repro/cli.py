@@ -461,22 +461,16 @@ def _command_serve_bench(args, out) -> int:
             # to the whole (bounded) bench workload.
             recent = max(recent, args.concurrency * args.requests)
         flight = FlightRecorder(recent=recent)
+    options = dict(workers=args.workers, queue_limit=args.queue_limit,
+                   tracer=tracer, flight_recorder=flight,
+                   breaker_policy=BreakerPolicy() if args.breaker else None)
     if args.cluster:
         service = ClusterService.from_catalog(
-            default_catalog(seed=args.seed),
-            workers=args.workers,
-            shard_count=args.shards,
-            queue_limit=args.queue_limit,
-            tracer=tracer, flight_recorder=flight,
-            breaker_policy=BreakerPolicy() if args.breaker else None)
+            default_catalog(seed=args.seed), shard_count=args.shards,
+            **options)
     else:
-        service = QueryService(
-            default_catalog(seed=args.seed),
-            workers=args.workers,
-            queue_limit=args.queue_limit,
-            tracer=tracer, flight_recorder=flight,
-            retry_policy=RetryPolicy() if args.retry else None,
-            breaker_policy=BreakerPolicy() if args.breaker else None)
+        service = QueryService(default_catalog(seed=args.seed), **options)
+    service.retry_policy = RetryPolicy() if args.retry else None
     observer = None
     if getattr(args, "http", False):
         from .serve import ObservabilityServer
@@ -506,7 +500,7 @@ def _command_serve_bench(args, out) -> int:
                               requests_per_client=args.requests,
                               seed=args.seed, timeout=args.timeout,
                               expected=expected)
-        health = service.health() if not args.cluster else None
+        health = service.health()
         cluster_stats = service.cluster_stats() if args.cluster else None
         if observer is not None and args.http_hold > 0:
             import time as _time
@@ -523,8 +517,7 @@ def _command_serve_bench(args, out) -> int:
               f"action={args.chaos_action} rate={args.chaos_rate} "
               f"retry={'on' if args.retry else 'off'} "
               f"breaker={'on' if args.breaker else 'off'}", file=out)
-        if health is not None:
-            print(f"health     : {health.status}", file=out)
+        print(f"health     : {health.status}", file=out)
     snapshot = service.flight_recorder()
     if snapshot is not None:
         print(f"tracing    : {snapshot.recorded} request traces "

@@ -26,8 +26,9 @@ from .chaos import (ChaosInjector, ChaosSpec, InjectedFault, KNOWN_SITES,
 from .errors import (AlgorithmError, CircuitOpen, DocumentQuarantined,
                      FallbackEvent, InputError, InternalError, ReproError,
                      ServiceClosed, ServiceOverloaded, SourceSpan,
-                     WorkerLost)
-from .governor import BudgetExceeded, Budgets, ResourceGovernor
+                     WorkerLost, typed_error)
+from .governor import (BudgetExceeded, Budgets, ResourceGovernor,
+                       deadline_budgets)
 
 __all__ = [
     "AlgorithmError", "BudgetExceeded", "Budgets", "ChaosInjector",
@@ -35,6 +36,6 @@ __all__ = [
     "InjectedFault", "InputError", "InternalError", "KNOWN_SITES",
     "ReproError", "ResourceGovernor", "ServiceClosed",
     "ServiceOverloaded", "SourceSpan", "WorkerLost",
-    "active_injector", "chaos_point", "default_seed", "inject",
-    "worker_seed",
+    "active_injector", "chaos_point", "deadline_budgets", "default_seed",
+    "inject", "typed_error", "worker_seed",
 ]

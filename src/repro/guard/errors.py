@@ -33,6 +33,7 @@ __all__ = [
     "AlgorithmError", "CircuitOpen", "DocumentQuarantined",
     "FallbackEvent", "InputError", "InternalError", "ReproError",
     "ServiceClosed", "ServiceOverloaded", "SourceSpan", "WorkerLost",
+    "typed_error",
 ]
 
 #: longest source line rendered verbatim in a caret snippet; longer
@@ -266,6 +267,18 @@ class InternalError(ReproError):
     leaking a bare exception — or worse, hanging the caller."""
 
     code = "REPRO-INTERNAL"
+
+
+def typed_error(err: Exception, context: str) -> ReproError:
+    """``err`` itself when it is already typed, else an
+    :class:`InternalError` reading ``unexpected <type> <context>: <err>``
+    with ``err`` as its ``__cause__``."""
+    if isinstance(err, ReproError):
+        return err
+    wrapped = InternalError(
+        f"unexpected {type(err).__name__} {context}: {err}")
+    wrapped.__cause__ = err
+    return wrapped
 
 
 @dataclass(frozen=True)

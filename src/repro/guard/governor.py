@@ -29,13 +29,13 @@ one pays a few nanoseconds per operator.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Any, Dict, Optional
 
 from .errors import ReproError
 
 __all__ = ["BudgetExceeded", "Budgets", "ResourceGovernor",
-           "CLOCK_CHECK_INTERVAL"]
+           "CLOCK_CHECK_INTERVAL", "deadline_budgets"]
 
 #: steps between wall-clock reads inside :meth:`ResourceGovernor.tick`.
 CLOCK_CHECK_INTERVAL = 128
@@ -59,6 +59,20 @@ class Budgets:
                 "max_steps": self.max_steps,
                 "max_output": self.max_output,
                 "max_depth": self.max_depth}
+
+
+def deadline_budgets(defaults: Optional[Budgets],
+                     remaining: Optional[float]) -> Optional[Budgets]:
+    """``defaults`` with the wall budget tightened (never loosened) to
+    a request's ``remaining`` deadline seconds; ``None`` means no
+    deadline."""
+    if remaining is None:
+        return defaults
+    if defaults is None:
+        return Budgets(wall_seconds=remaining)
+    if defaults.wall_seconds is None or remaining < defaults.wall_seconds:
+        return replace(defaults, wall_seconds=remaining)
+    return defaults
 
 
 class BudgetExceeded(ReproError):

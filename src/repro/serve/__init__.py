@@ -30,11 +30,12 @@ XQuery engine.  This package supplies that engine-around-the-engine:
   ``/healthz``, ``/flight`` and ``/traces/<id>`` on either service
   (stdlib ``http.server``; see ``docs/OBSPLANE.md``);
 * :mod:`repro.serve.cluster` — **multi-process sharded serving**:
-  :class:`ClusterService` scatter-gathers shardable queries over a pool
-  of worker processes (:mod:`repro.serve.worker`), each mmap-sharing
-  the same saved columnar shards (:mod:`repro.xmltree.shard`), with
-  per-worker circuit breakers, dead-worker respawn and optional partial
-  answers (``QueryResponse.partial``).
+  :class:`ClusterService` is the same service with a shard executor —
+  each execution attempt scatter-gathers over a pool of worker
+  processes (:mod:`repro.serve.worker`), each mmap-sharing the same
+  saved columnar shards (:mod:`repro.xmltree.shard`), with per-worker
+  circuit breakers, dead-worker respawn and optional partial answers
+  (``QueryResponse.partial``).
 
 See ``docs/SERVING.md`` for the architecture and tuning knobs and
 ``docs/ROBUSTNESS.md`` for the failure-handling contract.

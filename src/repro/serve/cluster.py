@@ -1,11 +1,15 @@
 """Multi-process sharded serving: scatter-gather over columnar shards.
 
-:class:`ClusterService` is the process-parallel sibling of
-:class:`~repro.serve.QueryService`: instead of a thread pool sharing
-one in-process engine (GIL-bound), it drives a pool of **worker
-processes** (:mod:`repro.serve.worker`), each mmap-opening the same
-saved columnar shards read-only — the page cache is shared, so N
-workers cost one copy of the columns — and runs queries either
+:class:`ClusterService` is :class:`~repro.serve.QueryService` with a
+different executor.  The service keeps everything a coordinator owns —
+admission, shedding, coalescing, deadlines, retries, the per-document
+breaker, degraded answers, request traces, stats, health and shutdown —
+and the cluster replaces only its per-attempt execution step: instead
+of running the attempt on the coordinator thread's shared engine
+(GIL-bound), it dispatches it to a pool of **worker processes**
+(:mod:`repro.serve.worker`), each mmap-opening the same saved columnar
+shards read-only — the page cache is shared, so N workers cost one copy
+of the columns — and runs the query either
 
 * **scattered**: a shardable query is dispatched once per shard of its
   document, evaluated shard-locally (the shards are subtree-closed, see
@@ -27,7 +31,7 @@ children are split across shards, so an existential witness for it may
 live in a different shard than the match.  Anything it cannot prove
 shard-safe runs whole-document; wrong answers are never on the menu.
 
-Coordination details:
+Executor details:
 
 * **protocol** — length-prefixed pickle frames over the worker's
   stdin/stdout pipes (:func:`~repro.serve.worker.send_frame`);
@@ -40,7 +44,8 @@ Coordination details:
 * **errors** — workers reply with pickled typed REPRO-* errors
   (:mod:`repro.guard.errors` round-trips the whole taxonomy); a dead
   worker surfaces as :class:`~repro.guard.WorkerLost`, its in-flight
-  tasks are re-dispatched once, and the pool **respawns** the worker;
+  tasks are re-dispatched once, and the pool **respawns** the worker
+  (while the service closes, lost tasks fail typed instead);
 * **resilience** — per-worker circuit breakers
   (:class:`~repro.serve.resilience.CircuitBreaker`) steer dispatch away
   from flapping workers; with ``allow_partial=True`` a scatter whose
@@ -51,8 +56,9 @@ Coordination details:
   with seed ``base + worker_index``
   (:func:`~repro.guard.worker_seed`), so ``REPRO_CHAOS_SEED`` sweeps
   are reproducible across the pool;
-* **tracing** — one coordinator root span per request plus one
-  ``shard`` child span per task (worker-measured duration), stitched
+* **tracing** — the service's ``request`` root span gets one ``shard``
+  child span per task (coordinator-measured wait, worker-measured
+  duration) with the worker's own span tree grafted under it, all
   under the same trace id.
 
 See ``docs/CLUSTER.md`` for the architecture and ``benchmarks/
@@ -77,19 +83,18 @@ from ..algebra.ops import (DDOPlan, FieldAccess, MapFromItem, MapToItem,
                            TupleTreePattern, VarPlan)
 from ..guard import (BudgetExceeded, Budgets, ChaosSpec, CircuitOpen,
                      InjectedFault, InternalError, ReproError,
-                     ServiceClosed, ServiceOverloaded, WorkerLost,
-                     chaos_point, default_seed)
+                     ServiceOverloaded, WorkerLost, chaos_point,
+                     default_seed)
 from ..pattern.tree import PatternPath, TreePattern
-from ..trace import (FlightRecorder, FlightSnapshot, TraceContext,
-                     Tracer, graft_remote)
+from ..trace import FlightRecorder, TraceContext, Tracer, graft_remote
 from ..xmltree.axes import Axis
 from ..xmltree.nodetest import NameTest, TextTest
 from ..xmltree.shard import ShardManifest, write_shard_layout
 from .catalog import DocumentCatalog
-from .metrics import LatencyHistogram, ServiceMetrics, ServiceStats
+from .metrics import LatencyHistogram
 from .resilience import BreakerPolicy, CircuitBreaker
-from .service import (DEFAULT_QUEUE_LIMIT, PendingQuery, QueryRequest,
-                      QueryResponse)
+from .service import (DEFAULT_QUEUE_LIMIT, QueryResponse, QueryService,
+                      _Execution)
 from .worker import ShardWorker, recv_frame, send_frame
 
 __all__ = ["ClusterLayout", "ClusterService", "ClusterStats",
@@ -357,41 +362,36 @@ class _ClusterMetrics:
                 self.whole_document += 1
 
 
-# -- executions and tasks ----------------------------------------------------
+# -- attempts and tasks ------------------------------------------------------
 
 
-class _ClusterExecution:
-    """Shared state of one admitted request (drop-in for the
-    :class:`~repro.serve.service.PendingQuery` handle: ``done``,
-    ``response``, ``request``, ``coalesced``)."""
+class _Attempt:
+    """One execution attempt's fan-out: the task frame every shard
+    task shares, its tasks, and the countdown the coordinator thread
+    waits on."""
 
-    def __init__(self, request: QueryRequest, admitted: float,
-                 deadline: Optional[float], scattered: bool) -> None:
-        self.request = request
-        self.admitted = admitted
-        self.deadline = deadline
-        self.scattered = scattered
-        self.response: Optional[QueryResponse] = None
-        self.done = threading.Event()
-        self.coalesced = 0
-        self.pending = 0
+    def __init__(self, execution: _Execution,
+                 message: Dict[str, Any]) -> None:
+        self.execution = execution
+        self.message = message
         self.tasks: List["_Task"] = []
-        self.trace = None
+        self.pending = 0
+        self.done = threading.Event()
 
 
 class _Task:
     """One dispatched unit: a (document, shard) evaluation."""
 
-    __slots__ = ("task_id", "execution", "shard", "worker", "dispatched",
+    __slots__ = ("task_id", "attempt", "shard", "worker", "dispatched",
                  "received", "exec_seconds", "ok", "items", "error",
                  "retried", "finished", "remote_trace")
 
-    def __init__(self, task_id: int, execution: _ClusterExecution,
-                 shard: Optional[int]) -> None:
+    def __init__(self, task_id: int, attempt: _Attempt,
+                 shard: Optional[int], worker: int) -> None:
         self.task_id = task_id
-        self.execution = execution
+        self.attempt = attempt
         self.shard = shard
-        self.worker = -1
+        self.worker = worker
         self.dispatched = 0.0
         #: coordinator-clock instant the result frame arrived (0.0 when
         #: the task failed without one) — with ``dispatched`` it bounds
@@ -485,10 +485,11 @@ class _ProcessTransport:
             except subprocess.TimeoutExpired:
                 self.process.kill()
                 self.process.wait()
-        try:
-            self.process.stdout.close()
-        except Exception:
-            pass
+        for stream in (self.process.stdin, self.process.stdout):
+            try:
+                stream.close()
+            except Exception:
+                pass
         if self.reader.is_alive() and self.reader is not \
                 threading.current_thread():
             self.reader.join(timeout=2.0)
@@ -539,8 +540,9 @@ class _InlineTransport:
 # -- the coordinator ---------------------------------------------------------
 
 
-class ClusterService:
-    """Scatter-gather query service over a pool of worker processes.
+class ClusterService(QueryService):
+    """The query service with a shard executor: scatter-gather over a
+    pool of worker processes.
 
     ::
 
@@ -548,13 +550,19 @@ class ClusterService:
         with ClusterService(layout, workers=4) as cluster:
             names = cluster.query("site", "$input//person/name")
 
-    The surface mirrors :class:`~repro.serve.QueryService` — ``submit``
-    / ``query`` / ``stats`` / ``close(drain=)``, typed REPRO-* errors,
-    tighten-only deadlines — so the load generator and benchmarks drive
-    either interchangeably.  ``catalog`` supplies the engines used for
-    the scatter decision and node rehydration; when omitted, one is
-    built from the layout's full indexes (and closed with the
-    service).
+    Admission, shedding, coalescing, deadlines, retries, the
+    per-document breaker, degraded answers, request traces,
+    ``stats()``, ``health()`` and ``close(drain=)`` are
+    :class:`~repro.serve.QueryService`'s own.  The cluster replaces
+    only the per-attempt execution step (:meth:`_execute`): on one of
+    ``workers`` coordinator threads it dispatches the attempt's shard
+    tasks, blocks until they are gathered and merges them.
+    ``queue_limit`` bounds the admission queue and, separately, the
+    dispatched tasks: an attempt that needs more task slots than remain
+    fails with :class:`~repro.guard.ServiceOverloaded`.  ``catalog``
+    supplies the engines used for the scatter decision and node
+    rehydration; when omitted, one is built from the layout's full
+    indexes (and closed with the service).
     """
 
     def __init__(self, layout: ClusterLayout,
@@ -570,41 +578,12 @@ class ClusterService:
                  flight_recorder: Optional[FlightRecorder] = None,
                  breaker_policy: Optional[BreakerPolicy] = None,
                  allow_partial: bool = False,
-                 scatter: bool = True,
-                 placement: str = "replicate",
                  respawn: bool = True,
                  chaos_specs: Sequence[ChaosSpec] = (),
                  chaos_seed: Optional[int] = None) -> None:
-        if workers < 1:
-            raise ValueError("workers must be >= 1")
-        if queue_limit < 1:
-            raise ValueError("queue_limit must be >= 1")
         if transport not in ("process", "inline"):
             raise ValueError(f"unknown transport {transport!r}; "
                              f"valid: process, inline")
-        if placement not in ("replicate", "partition"):
-            raise ValueError(f"unknown placement {placement!r}; "
-                             f"valid: replicate, partition")
-        self.layout = layout
-        self.queue_limit = queue_limit
-        self.transport = transport
-        self.backend = backend
-        self.use_summary = use_summary
-        self.default_budgets = default_budgets
-        self.allow_partial = allow_partial
-        self.scatter = scatter
-        self.placement = placement
-        self.respawn = respawn
-        self.breaker_policy = breaker_policy
-        self._chaos_specs = tuple(chaos_specs)
-        self._chaos_seed = chaos_seed
-        self._clock = clock
-        self.tracer = tracer
-        if flight_recorder is None and tracer is not None:
-            flight_recorder = FlightRecorder()
-        self._flight = flight_recorder
-        self.metrics = ServiceMetrics(clock=clock)
-        self.cluster_metrics = _ClusterMetrics()
         self._owns_catalog = catalog is None
         if catalog is None:
             catalog = DocumentCatalog()
@@ -613,11 +592,22 @@ class ClusterService:
                     name,
                     os.path.join(layout.directory, manifest.index_file),
                     verify=False)
-        self.catalog = catalog
+        super().__init__(catalog, workers=workers, queue_limit=queue_limit,
+                         default_budgets=default_budgets, clock=clock,
+                         tracer=tracer, flight_recorder=flight_recorder,
+                         breaker_policy=breaker_policy)
+        self.layout = layout
+        self.transport = transport
+        self.backend = backend
+        self.use_summary = use_summary
+        self.allow_partial = allow_partial
+        self.respawn = respawn
+        self._chaos_specs = tuple(chaos_specs)
+        self._chaos_seed = chaos_seed
+        self.cluster_metrics = _ClusterMetrics()
         self._owned_directory: Optional[str] = None
 
         self._lock = threading.Lock()
-        self._closed = False
         self._next_task_id = 0
         self._tasks: Dict[int, _Task] = {}
         self._inflight_per_worker: Dict[int, int] = \
@@ -661,104 +651,64 @@ class ClusterService:
     def worker_pids(self) -> List[Optional[int]]:
         return [transport.pid for transport in self._workers]
 
-    @property
-    def closed(self) -> bool:
-        return self._closed
+    # -- the shard executor --------------------------------------------------
 
-    # -- admission -----------------------------------------------------------
-
-    def submit(self, request: QueryRequest) -> PendingQuery:
-        """Admit a request: decide scatter vs whole-document, dispatch
-        its tasks, and return a waitable handle.  Sheds with
-        :class:`~repro.guard.ServiceOverloaded` when the in-flight task
-        count reaches ``queue_limit``; raises
-        :class:`~repro.guard.CircuitOpen` when every worker's breaker
-        is open."""
-        self.metrics.record_submitted()
+    def _execute(self, execution: _Execution, strategy: Optional[str],
+                 trace, response: QueryResponse) -> None:
+        """One attempt as shard tasks: decide scatter vs whole-document,
+        dispatch, wait for every task, then merge into ``response``."""
+        request = execution.request
         manifest = self.layout.manifests.get(request.document)
         if manifest is None:
             raise ReproError(
                 f"unknown cluster document {request.document!r}; "
                 f"known: {sorted(self.layout.manifests)}",
                 code="REPRO-CLUSTER-DOCUMENT")
-        admitted = self._clock()
-        deadline = admitted + request.timeout \
-            if request.timeout is not None else None
-
-        scattered = False
-        if self.scatter and self.placement == "replicate" \
-                and request.optimize and manifest.shard_count > 1:
-            try:
-                engine = self.catalog.engine(request.document)
-                compiled = engine.compile(request.query,
-                                          optimize=True)
-            except ReproError as err:
-                return self._fail_immediately(request, admitted, err)
-            scattered = scatter_plan(compiled, manifest.root_tag)
-
-        execution = _ClusterExecution(request, admitted, deadline,
-                                      scattered)
+        engine = self.catalog.engine(request.document)
+        scattered = request.optimize and manifest.shard_count > 1 \
+            and scatter_plan(engine.compile(request.query, optimize=True),
+                             manifest.root_tag)
+        message = {"type": "task", "document": request.document,
+                   "query": request.query, "strategy": strategy,
+                   "optimize": request.optimize,
+                   "timeout": request.timeout}
+        if trace is not None:
+            # Context presence IS the sampling decision: only sampled
+            # requests make the workers trace.
+            message["trace"] = TraceContext(
+                trace.trace_id, trace.root.span_id).to_wire()
+        attempt = _Attempt(execution, message)
         shards: List[Optional[int]] = \
             list(range(manifest.shard_count)) if scattered else [None]
         with self._lock:
-            if self._closed:
-                raise ServiceClosed("cluster service is closed")
-            pending_total = len(self._tasks)
-            if pending_total + len(shards) > self.queue_limit:
+            in_flight = len(self._tasks)
+            if in_flight + len(shards) > self.queue_limit:
                 self.metrics.record_shed()
                 raise ServiceOverloaded(
-                    f"cluster task queue full ({pending_total} in "
-                    f"flight, limit {self.queue_limit}); request shed",
-                    queue_depth=pending_total,
-                    queue_limit=self.queue_limit)
-            targets = []
-            for shard in shards:
-                worker = self._pick_worker_locked(request.document)
-                task = _Task(self._next_task_id, execution, shard)
+                    f"cluster task queue full ({in_flight} in flight, "
+                    f"limit {self.queue_limit}); request shed",
+                    queue_depth=in_flight, queue_limit=self.queue_limit)
+            workers = [self._pick_worker_locked(request.document)
+                       for _ in shards]
+            for shard, worker in zip(shards, workers):
+                task = _Task(self._next_task_id, attempt, shard, worker)
                 self._next_task_id += 1
-                task.worker = worker
-                execution.tasks.append(task)
-                execution.pending += 1
+                attempt.tasks.append(task)
                 self._tasks[task.task_id] = task
-                self._inflight_per_worker[worker] = \
-                    self._inflight_per_worker.get(worker, 0) + 1
-                targets.append(task)
-        self.metrics.record_accepted()
+                self._inflight_per_worker[worker] += 1
+            attempt.pending = len(attempt.tasks)
         self.cluster_metrics.record_mode(scattered)
-        execution.trace = self._begin_trace(execution)
-        for task in targets:
+        for task in attempt.tasks:
             self._dispatch(task)
-        return PendingQuery(execution, coalesced=False)
-
-    def query(self, document: str, query: str,
-              strategy: Optional[str] = None,
-              timeout: Optional[float] = None,
-              optimize: bool = True) -> List:
-        """Submit one request and block for its results."""
-        pending = self.submit(QueryRequest(document=document, query=query,
-                                           strategy=strategy,
-                                           timeout=timeout,
-                                           optimize=optimize))
-        return pending.result()
-
-    def _fail_immediately(self, request: QueryRequest, admitted: float,
-                          error: ReproError) -> PendingQuery:
-        self.metrics.record_accepted()
-        execution = _ClusterExecution(request, admitted, None, False)
-        execution.response = QueryResponse(request=request, error=error)
-        execution.done.set()
-        self.metrics.record_done(latency_seconds=0.0, queue_seconds=0.0,
-                                 failed=True)
-        return PendingQuery(execution, coalesced=False)
+        attempt.done.wait()
+        if trace is not None:
+            trace.annotate(cluster=True, scattered=scattered)
+            self._graft_shards(trace, attempt.tasks)
+        self._merge(attempt.tasks, engine.document, scattered, response)
 
     def _pick_worker_locked(self, document: str) -> int:
-        """The worker for the next task: pinned in ``partition``
-        placement, else round-robin over live workers whose breaker
-        admits traffic."""
+        """Round-robin over live workers whose breaker admits traffic."""
         count = len(self._workers)
-        if self.placement == "partition":
-            names = sorted(self.layout.manifests)
-            return names.index(document) % count
         candidates = []
         for offset in range(count):
             index = (self._rr + offset) % count
@@ -780,33 +730,14 @@ class ClusterService:
         self._rr = (chosen + 1) % count
         return chosen
 
-    # -- dispatch ------------------------------------------------------------
-
     def _dispatch(self, task: _Task) -> None:
-        execution = task.execution
-        remaining = None
-        if execution.deadline is not None:
-            remaining = execution.deadline - self._clock()
-            if remaining <= 0:
-                elapsed = self._clock() - execution.admitted
-                self._complete_task(task, error=BudgetExceeded(
-                    "wall", execution.request.timeout or 0.0, elapsed,
-                    elapsed_seconds=elapsed))
-                return
-        message = {"type": "task", "task_id": task.task_id,
-                   "document": execution.request.document,
-                   "query": execution.request.query,
-                   "strategy": execution.request.strategy,
-                   "optimize": execution.request.optimize,
-                   "shard": task.shard,
-                   "remaining": remaining,
-                   "timeout": execution.request.timeout}
-        if execution.trace is not None:
-            # Context presence IS the sampling decision: only sampled
-            # requests make the workers trace.
-            message["trace"] = TraceContext(
-                execution.trace.trace_id,
-                execution.trace.root.span_id).to_wire()
+        try:
+            remaining = self._remaining(task.attempt.execution)
+        except BudgetExceeded as err:
+            self._complete_task(task, error=err)
+            return
+        message = dict(task.attempt.message, task_id=task.task_id,
+                       shard=task.shard, remaining=remaining)
         task.dispatched = self._clock()
         self.cluster_metrics.record_dispatched(task.worker)
         transport = self._workers[task.worker]
@@ -832,11 +763,10 @@ class ClusterService:
         task.exec_seconds = message.get("exec_seconds", 0.0)
         task.received = self._clock()
         task.remote_trace = message.get("trace")
-        document = task.execution.request.document
         ok = bool(message.get("ok"))
-        self.cluster_metrics.record_result(worker_index, document,
-                                           task.shard,
-                                           task.exec_seconds, ok)
+        self.cluster_metrics.record_result(
+            worker_index, task.attempt.message["document"], task.shard,
+            task.exec_seconds, ok)
         breaker = self._breakers.get(worker_index)
         if breaker is not None:
             # A frame — success or typed query error — proves the
@@ -860,7 +790,7 @@ class ClusterService:
     def _complete_task(self, task: _Task,
                        items: Optional[List[Tuple[str, Any]]] = None,
                        error: Optional[Exception] = None) -> None:
-        execution = task.execution
+        attempt = task.attempt
         with self._lock:
             if task.finished:
                 return
@@ -872,164 +802,107 @@ class ClusterService:
             if task.worker in self._inflight_per_worker:
                 self._inflight_per_worker[task.worker] = max(
                     0, self._inflight_per_worker[task.worker] - 1)
-            execution.pending -= 1
-            finished = execution.pending == 0
-        if finished:
-            self._finalize(execution)
+            attempt.pending -= 1
+            if attempt.pending == 0:
+                attempt.done.set()
 
-    def _finalize(self, execution: _ClusterExecution) -> None:
-        request = execution.request
-        response = QueryResponse(request=request)
-        succeeded = [task for task in execution.tasks if task.ok]
-        failed = [task for task in execution.tasks if not task.ok]
-        try:
-            if failed and not (execution.scattered and succeeded
-                               and self.allow_partial):
-                response.error = failed[0].error
-            else:
-                document = self.catalog.engine(request.document).document
-                if execution.scattered:
-                    merged = merge_shard_results(
-                        [task.items for task in succeeded])
-                    response.results = [document.node_at(pre)
-                                        for pre in merged]
-                    if failed:
-                        response.partial = True
-                        self.cluster_metrics.record_partial()
-                        self.metrics.record_degraded()
-                else:
-                    (task,) = execution.tasks
-                    response.results = [
-                        document.node_at(value) if tag == "n" else value
-                        for tag, value in task.items]
-        except Exception as err:
-            if not isinstance(err, ReproError):
-                wrapped = InternalError(
-                    f"unexpected {type(err).__name__} while merging "
-                    f"{request.query!r}: {err}")
-                wrapped.__cause__ = err
-                err = wrapped
-            response.error = err
-        response.exec_seconds = self._clock() - execution.admitted
-        deadline_expired = isinstance(response.error, BudgetExceeded) \
-            and response.error.kind == "wall"
-        trace = execution.trace
-        if trace is not None:
-            response.trace_id = trace.trace_id
-            for task in execution.tasks:
-                # Every instant here is coordinator-clock: the shard
-                # span covers dispatch -> result-frame arrival as this
-                # process measured it.  The worker's self-measured
-                # execution time rides along as ``worker_seconds`` —
-                # an attribute, never a position — so clock skew
-                # between the two processes cannot produce negative
-                # gaps in the stitched tree.
-                # Offsets are measured from the trace root's own start
-                # (same coordinator clock), not ``execution.admitted``:
-                # the trace begins after admission, so admitted-based
-                # offsets would push spans past the root span's end.
-                dispatch_offset = max(
-                    task.dispatched - trace.root.start, 0.0) \
-                    if task.dispatched else 0.0
-                wait = max(task.received - task.dispatched, 0.0) \
-                    if task.dispatched and task.received else 0.0
-                payload = task.remote_trace
-                duration = wait
-                if payload is not None:
-                    # Under rate skew the worker may report a longer
-                    # execution than the coordinator-observed wait;
-                    # widen the envelope so grafted children still
-                    # nest inside it.
-                    duration = max(duration,
-                                   payload.get("duration", 0.0))
-                shard_span = trace.add_span(
-                    "shard",
-                    start=trace.root.start + dispatch_offset,
-                    duration=duration,
-                    shard=-1 if task.shard is None else task.shard,
-                    worker=task.worker, ok=task.ok,
-                    wait_seconds=wait,
-                    worker_seconds=task.exec_seconds)
-                if payload is not None and trace.spans \
-                        and trace.spans[-1] is shard_span:
-                    # Only graft when the shard span itself survived
-                    # the buffer cap — stitching under a dropped span
-                    # would break the no-dropped-parent invariant.
-                    try:
-                        graft_remote(
-                            trace, payload,
-                            anchor=shard_span.start,
-                            parent_id=shard_span.span_id,
-                            attrs={"worker": task.worker,
-                                   "shard": -1 if task.shard is None
-                                   else task.shard})
-                    except ValueError as err:
-                        trace.event("graft-failed", error=str(err))
-            if response.error is not None:
-                trace.annotate(error=getattr(
-                    response.error, "code",
-                    type(response.error).__name__))
-            trace.finish(rows=len(response.results)
-                         if response.results is not None else 0,
-                         scattered=execution.scattered,
-                         partial=response.partial)
-            if self._flight is not None:
-                self._flight.record(trace,
-                                    latency=response.exec_seconds)
-        execution.response = response
-        execution.done.set()
-        self.metrics.record_done(latency_seconds=response.exec_seconds,
-                                 queue_seconds=0.0,
-                                 failed=response.error is not None,
-                                 deadline_expired=deadline_expired)
+    def _merge(self, tasks: List[_Task], document, scattered: bool,
+               response: QueryResponse) -> None:
+        failed = [task for task in tasks if not task.ok]
+        succeeded = [task for task in tasks if task.ok]
+        if failed and not (scattered and succeeded and self.allow_partial):
+            raise failed[0].error
+        if not scattered:
+            (task,) = tasks
+            response.results = [
+                document.node_at(value) if tag == "n" else value
+                for tag, value in task.items]
+            return
+        merged = merge_shard_results([task.items for task in succeeded])
+        response.results = [document.node_at(pre) for pre in merged]
+        if failed:
+            response.partial = True
+            self.cluster_metrics.record_partial()
+            self.metrics.record_degraded()
 
-    def _begin_trace(self, execution: _ClusterExecution):
-        if self.tracer is None:
-            return None
-        trace = self.tracer.begin(
-            "request",
-            document=execution.request.document,
-            query=execution.request.query,
-            strategy=execution.request.strategy or "default",
-            cluster=True)
-        return trace
+    def _graft_shards(self, trace, tasks: List[_Task]) -> None:
+        """One ``shard`` span per task, each with the worker's own span
+        tree grafted under it when the worker sent one."""
+        for task in tasks:
+            # Every instant here is coordinator-clock: the shard span
+            # covers dispatch -> result-frame arrival as this process
+            # measured it.  The worker's self-measured execution time
+            # rides along as ``worker_seconds`` — an attribute, never a
+            # position — so clock skew between the two processes cannot
+            # produce negative gaps in the stitched tree.
+            dispatch_offset = max(task.dispatched - trace.root.start, 0.0) \
+                if task.dispatched else 0.0
+            wait = max(task.received - task.dispatched, 0.0) \
+                if task.dispatched and task.received else 0.0
+            payload = task.remote_trace
+            duration = wait
+            if payload is not None:
+                # Under rate skew the worker may report a longer
+                # execution than the coordinator-observed wait; widen
+                # the envelope so grafted children still nest inside it.
+                duration = max(duration, payload.get("duration", 0.0))
+            shard = -1 if task.shard is None else task.shard
+            shard_span = trace.add_span(
+                "shard", start=trace.root.start + dispatch_offset,
+                duration=duration, shard=shard, worker=task.worker,
+                ok=task.ok, wait_seconds=wait,
+                worker_seconds=task.exec_seconds)
+            if payload is not None and trace.spans \
+                    and trace.spans[-1] is shard_span:
+                # Only graft when the shard span itself survived the
+                # buffer cap — stitching under a dropped span would
+                # break the no-dropped-parent invariant.
+                try:
+                    graft_remote(trace, payload, anchor=shard_span.start,
+                                 parent_id=shard_span.span_id,
+                                 attrs={"worker": task.worker,
+                                        "shard": shard})
+                except ValueError as err:
+                    trace.event("graft-failed", error=str(err))
 
     # -- worker loss ---------------------------------------------------------
 
     def _on_worker_exit(self, index: int, transport) -> None:
         with self._lock:
-            if self._closed:
-                return
             if index >= len(self._workers) \
                     or self._workers[index] is not transport:
                 return  # already replaced
             lost = [task for task in self._tasks.values()
                     if task.worker == index and not task.finished]
+            closing = self._closed
             replacement = None
-            if self.respawn:
+            if self.respawn and not closing:
                 self.cluster_metrics.record_respawn()
                 replacement = _ProcessTransport(self, index) \
                     if self.transport == "process" \
                     else _InlineTransport(self, index)
                 self._workers[index] = replacement
             self._inflight_per_worker[index] = 0
-        breaker = self._breakers.get(index)
-        if breaker is not None:
-            breaker.record_failure()
-        if replacement is not None:
-            try:
-                replacement.start(self._init_message(index))
-            except Exception:
-                pass
-        transport.reap(timeout=0.5)
+        if not closing:
+            # (While closing, close() itself reaps every transport.)
+            breaker = self._breakers.get(index)
+            if breaker is not None:
+                breaker.record_failure()
+            if replacement is not None:
+                try:
+                    replacement.start(self._init_message(index))
+                except Exception:
+                    pass
+            transport.reap(timeout=0.5)
+        # Re-dispatched once while running; failed typed while closing,
+        # which unblocks the coordinator thread a drain is waiting on.
         for task in lost:
             self._retry_or_fail(task, index)
 
     def _retry_or_fail(self, task: _Task, dead_index: int) -> None:
-        execution = task.execution
         error = WorkerLost(
             f"cluster worker {dead_index} died while evaluating "
-            f"{execution.request.query!r}", worker_index=dead_index)
+            f"{task.attempt.message['query']!r}", worker_index=dead_index)
         if task.retried or self._closed:
             self._complete_task(task, error=error)
             return
@@ -1038,12 +911,10 @@ class ClusterService:
                 return
             try:
                 worker = self._pick_worker_locked(
-                    execution.request.document)
+                    task.attempt.message["document"])
             except ReproError:
                 worker = None
-            if worker is None:
-                pass
-            else:
+            if worker is not None:
                 old = task.worker
                 task.worker = worker
                 task.retried = True
@@ -1059,13 +930,6 @@ class ClusterService:
             self._dispatch(task)
 
     # -- introspection -------------------------------------------------------
-
-    def stats(self) -> ServiceStats:
-        with self._lock:
-            queue_depth = len(self._tasks)
-            in_flight = sum(self._inflight_per_worker.values())
-        return self.metrics.stats(queue_depth=queue_depth,
-                                  in_flight=in_flight)
 
     def cluster_stats(self) -> ClusterStats:
         metrics = self.cluster_metrics
@@ -1094,11 +958,6 @@ class ClusterService:
                             whole_document=metrics.whole_document,
                             shard_latency=latency)
 
-    def flight_recorder(self) -> Optional[FlightSnapshot]:
-        if self._flight is None:
-            return None
-        return self._flight.snapshot()
-
     # -- lifecycle -----------------------------------------------------------
 
     @classmethod
@@ -1122,24 +981,11 @@ class ClusterService:
         return service
 
     def close(self, drain: bool = True) -> None:
-        """Stop admitting, settle in-flight work, shut every worker
-        down and reap it (no orphan processes, no open pipes).
-
-        ``drain=True`` waits for dispatched tasks to finish first;
-        ``drain=False`` fails them with
-        :class:`~repro.guard.ServiceClosed`.  Idempotent."""
-        with self._lock:
-            if self._closed:
-                return
-            self._closed = True
-            pending = list(self._tasks.values())
-        if drain:
-            for task in pending:
-                task.execution.done.wait(timeout=30.0)
-        else:
-            for task in pending:
-                self._complete_task(task, error=ServiceClosed(
-                    "cluster service closed before execution"))
+        """:meth:`QueryService.close`, then shut every worker down and
+        reap it (no orphan processes, no open pipes), release an owned
+        catalog's shard mmaps and remove an owned layout directory.
+        Idempotent."""
+        super().close(drain)
         for transport in self._workers:
             transport.shutdown()
         for transport in self._workers:
@@ -1151,9 +997,3 @@ class ClusterService:
                     engine.document.close()
         if self._owned_directory is not None:
             shutil.rmtree(self._owned_directory, ignore_errors=True)
-
-    def __enter__(self) -> "ClusterService":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()

@@ -146,25 +146,22 @@ class ObservabilityServer:
         if callable(cluster_stats):
             cluster = cluster_stats()
         text = prometheus_text(metrics=self.service.metrics,
-                               tracer=getattr(self.service, "tracer", None),
+                               tracer=self.service.tracer,
                                cluster=cluster)
         return 200, CONTENT_TYPE_PROMETHEUS, text.encode("utf-8")
 
     def _healthz(self) -> Tuple[int, str, bytes]:
         stats = self.service.stats()
+        health = self.service.health()
         payload: Dict[str, Any] = {
             # The service's own vocabulary: healthy | degraded |
             # unhealthy (repro.serve.resilience).
-            "status": "healthy",
+            "status": health.status,
+            "documents": health.to_dict(),
             "queue_depth": stats.queue_depth,
             "in_flight": stats.in_flight,
             "counters": stats.to_dict(),
         }
-        health = getattr(self.service, "health", None)
-        if callable(health):
-            snapshot = health()
-            payload["documents"] = snapshot.to_dict()
-            payload["status"] = snapshot.status
         cluster_stats = getattr(self.service, "cluster_stats", None)
         if callable(cluster_stats):
             cluster = cluster_stats()

@@ -19,6 +19,12 @@ layer needs under load:
   result and are never enqueued.  Thundering herds of a hot query cost
   one evaluation.
 
+Each execution attempt goes through one seam, :meth:`QueryService.
+_execute`.  Here it compiles and executes on the catalog's shared engine
+in the worker thread; :class:`~repro.serve.ClusterService` is this same
+service with that step replaced by a scatter over worker processes, so
+everything below holds for both.
+
 Results are deterministic: workers only ever *read* the shared,
 immutable engines (the plan cache and summary builds are internally
 locked, see PR notes in :mod:`repro.obs` / :mod:`repro.xmltree.
@@ -47,12 +53,13 @@ import queue as queue_module
 import random
 import threading
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Any, Dict, Hashable, List, Optional, Tuple
 
 from ..guard import (AlgorithmError, Budgets, BudgetExceeded, CircuitOpen,
-                     InjectedFault, InternalError, ReproError,
-                     ServiceClosed, ServiceOverloaded, chaos_point)
+                     InjectedFault, InternalError, ServiceClosed,
+                     ServiceOverloaded, chaos_point, deadline_budgets,
+                     typed_error)
 from ..trace import FlightRecorder, FlightSnapshot, Tracer
 from ..xmltree.columnar import StorageError
 from .catalog import DocumentCatalog
@@ -223,8 +230,7 @@ class QueryService:
                  flight_recorder: Optional[FlightRecorder] = None,
                  retry_policy: Optional[RetryPolicy] = None,
                  breaker_policy: Optional[BreakerPolicy] = None,
-                 degraded_mode: bool = True,
-                 retry_seed: int = 0) -> None:
+                 degraded_mode: bool = True) -> None:
         if workers < 1:
             raise ValueError("workers must be >= 1")
         if queue_limit < 1:
@@ -239,7 +245,7 @@ class QueryService:
         self.degraded_mode = degraded_mode
         self.health_tracker = HealthTracker(breaker_policy=breaker_policy,
                                             clock=clock)
-        self._retry_rng = random.Random(retry_seed)
+        self._retry_rng = random.Random(0)
         self.tracer = tracer
         if flight_recorder is None and tracer is not None:
             flight_recorder = FlightRecorder()
@@ -251,11 +257,11 @@ class QueryService:
         self._admission_lock = threading.Lock()
         self._in_flight_count = 0
         self._closed = False
-        self._workers = [
+        self._threads = [
             threading.Thread(target=self._worker_loop,
                              name=f"repro-serve-{index}", daemon=True)
             for index in range(workers)]
-        for thread in self._workers:
+        for thread in self._threads:
             thread.start()
 
     # -- admission ----------------------------------------------------------
@@ -361,14 +367,10 @@ class QueryService:
             # a typed response, never a dead worker with hanging
             # waiters (the shutdown/coalesce regression).
             trace = self._begin_trace(execution, queue_seconds, response)
-            self._attempt_loop(execution, response, started, trace)
+            self._attempt_loop(execution, response, trace)
         except Exception as err:  # typed errors travel to the waiters
-            if not isinstance(err, ReproError):
-                wrapped = InternalError(
-                    f"unexpected {type(err).__name__} while serving "
-                    f"{execution.request.query!r}: {err}")
-                wrapped.__cause__ = err
-                err = wrapped
+            err = typed_error(
+                err, f"while serving {execution.request.query!r}")
             response.error = err
             if isinstance(err, BudgetExceeded) and err.kind == "wall":
                 deadline_expired = True
@@ -425,8 +427,7 @@ class QueryService:
         return trace
 
     def _attempt_loop(self, execution: _Execution,
-                      response: QueryResponse, started: float,
-                      trace) -> None:
+                      response: QueryResponse, trace) -> None:
         """Execute the request, retrying per :attr:`retry_policy`.
 
         Transient faults retry on the same strategy, deterministic
@@ -435,16 +436,8 @@ class QueryService:
         deadline.  Attempt outcomes feed the document's health/breaker.
         """
         request = execution.request
-        remaining = None
-        if execution.deadline is not None:
-            remaining = execution.deadline - started
-            if remaining <= 0:
-                # The deadline lapsed while queued: charge the wait,
-                # skip the execution entirely.
-                raise BudgetExceeded(
-                    "wall", request.timeout or 0.0,
-                    response.queue_seconds,
-                    elapsed_seconds=response.queue_seconds)
+        # A deadline that lapsed while queued skips the execution.
+        self._remaining(execution)
         policy = self.retry_policy
         strategies: List[Optional[str]] = [request.strategy]
         if policy is not None:
@@ -456,29 +449,11 @@ class QueryService:
             response.attempts = attempt
             try:
                 chaos_point("serve.execute")
-                engine = self.catalog.engine(request.document)
-                if execution.deadline is not None:
-                    remaining = execution.deadline - self._clock()
-                    if remaining <= 0:
-                        elapsed = self._clock() - execution.admitted
-                        raise BudgetExceeded(
-                            "wall", request.timeout or 0.0, elapsed,
-                            elapsed_seconds=elapsed)
-                budgets = self._budgets_for(remaining)
-                compiled = engine.compile(request.query,
-                                          optimize=request.optimize,
-                                          tracing=trace)
-                response.results = engine.execute(
-                    compiled, strategy=strategies[level],
-                    optimized=request.optimize, budgets=budgets,
-                    tracing=trace)
+                self._execute(execution, strategies[level], trace,
+                              response)
             except Exception as err:
-                if not isinstance(err, ReproError):
-                    wrapped = InternalError(
-                        f"unexpected {type(err).__name__} while "
-                        f"serving {request.query!r}: {err}")
-                    wrapped.__cause__ = err
-                    err = wrapped
+                err = typed_error(err,
+                                  f"while serving {request.query!r}")
                 if isinstance(err, _HEALTH_ERRORS):
                     self.health_tracker.record_failure(request.document,
                                                        err)
@@ -500,6 +475,36 @@ class QueryService:
             else:
                 self.health_tracker.record_success(request.document)
                 return
+
+    def _execute(self, execution: _Execution, strategy: Optional[str],
+                 trace, response: QueryResponse) -> None:
+        """One execution attempt — the service's executor seam: fill
+        ``response.results`` or raise.  This one compiles and executes
+        on the document's shared engine, in the calling worker thread;
+        :class:`~repro.serve.ClusterService` scatters the attempt over
+        its worker processes instead."""
+        request = execution.request
+        engine = self.catalog.engine(request.document)
+        budgets = deadline_budgets(self.default_budgets,
+                                   self._remaining(execution))
+        compiled = engine.compile(request.query, optimize=request.optimize,
+                                  tracing=trace)
+        response.results = engine.execute(
+            compiled, strategy=strategy, optimized=request.optimize,
+            budgets=budgets, tracing=trace)
+
+    def _remaining(self, execution: _Execution) -> Optional[float]:
+        """Seconds left before the admission deadline (``None`` when
+        the request has none); raises a wall :class:`BudgetExceeded`
+        charging the whole elapsed time once it has passed."""
+        if execution.deadline is None:
+            return None
+        now = self._clock()
+        if now >= execution.deadline:
+            elapsed = now - execution.admitted
+            raise BudgetExceeded("wall", execution.request.timeout or 0.0,
+                                 elapsed, elapsed_seconds=elapsed)
+        return execution.deadline - now
 
     def _retry_backoff(self, policy: Optional[RetryPolicy],
                        err: Exception, attempt: int,
@@ -535,18 +540,6 @@ class QueryService:
         except Exception:
             return None
         return QueryResponse(request=request, results=[], degraded=True)
-
-    def _budgets_for(self, remaining: Optional[float]) -> Optional[Budgets]:
-        """The service defaults with the wall budget tightened to the
-        request's remaining deadline (whichever is smaller)."""
-        budgets = self.default_budgets
-        if remaining is None:
-            return budgets
-        if budgets is None:
-            return Budgets(wall_seconds=remaining)
-        if budgets.wall_seconds is None or remaining < budgets.wall_seconds:
-            return replace(budgets, wall_seconds=remaining)
-        return budgets
 
     # -- introspection ------------------------------------------------------
 
@@ -599,7 +592,7 @@ class QueryService:
 
     @property
     def worker_count(self) -> int:
-        return len(self._workers)
+        return len(self._threads)
 
     # -- lifecycle ----------------------------------------------------------
 
@@ -616,9 +609,9 @@ class QueryService:
             self._closed = True
         if not drain:
             self._fail_queued()
-        for _ in self._workers:
+        for _ in self._threads:
             self._queue.put(_SENTINEL)
-        for thread in self._workers:
+        for thread in self._threads:
             thread.join()
         # Always sweep what the workers left behind: with drain=False,
         # requests that slipped in between the first sweep and the

@@ -39,12 +39,11 @@ import pickle
 import struct
 import sys
 import time
-from dataclasses import replace
 from typing import Any, BinaryIO, Dict, List, Optional, Tuple
 
 from ..engine import Engine
 from ..guard import (BudgetExceeded, Budgets, InternalError, ReproError,
-                     inject, worker_seed)
+                     deadline_budgets, inject, typed_error, worker_seed)
 from ..trace import TraceContext, Tracer, pack_trace
 from ..xmltree.node import Node
 from ..xmltree.shard import ShardManifest
@@ -110,11 +109,7 @@ def wire_safe_error(err: Exception) -> ReproError:
     exceptions are wrapped in :class:`~repro.guard.InternalError`, and
     an error whose context resists pickling is flattened to its string
     form (code preserved)."""
-    if not isinstance(err, ReproError):
-        wrapped = InternalError(
-            f"unexpected {type(err).__name__} in cluster worker: {err}")
-        wrapped.__cause__ = err
-        err = wrapped
+    err = typed_error(err, "in cluster worker")
     try:
         pickle.dumps(err, protocol=pickle.HIGHEST_PROTOCOL)
         return err
@@ -244,7 +239,8 @@ class ShardWorker:
                                   tracing=trace)
         results = engine.execute(compiled, strategy=task.get("strategy"),
                                  optimized=task.get("optimize", True),
-                                 budgets=self._budgets_for(remaining),
+                                 budgets=deadline_budgets(
+                                     self.default_budgets, remaining),
                                  tracing=trace)
         if shard is None:
             return [("n", item.pre) if isinstance(item, Node)
@@ -263,19 +259,6 @@ class ShardWorker:
                     f"{type(item).__name__}; query {task['query']!r} "
                     f"should not have been scattered")
         return encoded
-
-    def _budgets_for(self, remaining: Optional[float]) -> Optional[Budgets]:
-        """Tighten-only mapping of the coordinator's per-shard deadline
-        onto the worker's default budgets (mirrors
-        ``QueryService._budgets_for``)."""
-        budgets = self.default_budgets
-        if remaining is None:
-            return budgets
-        if budgets is None:
-            return Budgets(wall_seconds=remaining)
-        if budgets.wall_seconds is None or remaining < budgets.wall_seconds:
-            return replace(budgets, wall_seconds=remaining)
-        return budgets
 
     def close(self) -> None:
         for engine in self._engines.values():

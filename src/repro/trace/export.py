@@ -14,8 +14,8 @@ Three consumers, three formats:
 * :func:`spans_jsonl` emits one JSON object per span — the grep-able
   archive format.
 
-Each format has a ``validate_*`` twin used by the CI ``trace-smoke``
-job so a malformed export fails loudly, and a ``write_*`` helper.
+Each format has a ``validate_*`` twin used by the CI ``serving`` job's
+traced load run so a malformed export fails loudly, and a ``write_*`` helper.
 
 This module deliberately does **not** import :mod:`repro.serve`:
 :func:`prometheus_text` duck-types its ``metrics`` argument (anything

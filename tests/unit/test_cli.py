@@ -166,3 +166,20 @@ class TestParser:
         from repro import Engine
         engine = Engine.from_xml(SAMPLE_DOCUMENT)
         assert len(engine.run("$input//person")) == 2
+
+
+class TestServeBenchCluster:
+    def test_cluster_retries_and_reports_health(self, monkeypatch):
+        # Faults at serve.execute fire in the coordinator, so retries
+        # can only show up when --retry reaches the cluster.
+        monkeypatch.setenv("REPRO_SCALE", "0.1")
+        code, output = run_cli(
+            "serve-bench", "--cluster", "--workers", "1", "--shards", "2",
+            "--concurrency", "2", "--requests", "6", "--seed", "3",
+            "--chaos-rate", "0.5", "--retry", "--no-breaker")
+        assert code == 0, output
+        retried = int(output.split("retried=")[1].split()[0])
+        assert retried > 0, output
+        assert "retry=on" in output
+        assert "health     : " in output
+        assert "bare=0" in output

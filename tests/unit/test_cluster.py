@@ -12,13 +12,14 @@ import io
 import os
 import pickle
 import signal
+import threading
 import time
 
 import pytest
 
 from repro import Engine, IndexedDocument
 from repro.data import xmark_document
-from repro.guard import (Budgets, BudgetExceeded, InternalError,
+from repro.guard import (Budgets, BudgetExceeded, ChaosSpec, InternalError,
                          ReproError, ServiceClosed, ServiceOverloaded,
                          WorkerLost)
 from repro.serve import (BreakerPolicy, ClusterLayout, ClusterService,
@@ -300,3 +301,29 @@ def test_worker_lost_without_respawn(layout):
             service.query("xmark", "$input//person/name", timeout=10.0)
     finally:
         service.close()
+
+
+def test_drain_survives_worker_death(xmark_idx, tmp_path):
+    """A worker killed while ``close(drain=True)`` waits on its tasks
+    fails them typed instead of hanging the drain and the caller."""
+    layout = ClusterLayout.build({"xmark": xmark_idx.columns},
+                                 str(tmp_path), 2)
+    service = ClusterService(
+        layout, workers=1,
+        chaos_specs=(ChaosSpec(site="eval.ttp", action="delay", rate=1.0,
+                               delay_seconds=1.0),),
+        chaos_seed=1)
+    pids = list(service.worker_pids())
+    pending = service.submit(QueryRequest(
+        document="xmark", query="$input//person/name"))
+    closer = threading.Thread(target=service.close, kwargs={"drain": True},
+                              daemon=True)
+    time.sleep(0.2)
+    closer.start()
+    time.sleep(0.2)
+    os.kill(pids[0], signal.SIGKILL)
+    response = pending.response(timeout=10.0)
+    assert isinstance(response.error, (ServiceClosed, WorkerLost))
+    closer.join(timeout=10.0)
+    assert not closer.is_alive(), "close(drain=True) hung"
+    assert _orphan_pids(pids) == []

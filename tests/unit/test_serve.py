@@ -10,7 +10,7 @@ import pytest
 
 from repro import Engine
 from repro.guard import (BudgetExceeded, Budgets, InputError, ServiceClosed,
-                         ServiceOverloaded)
+                         ServiceOverloaded, deadline_budgets)
 from repro.serve import (DocumentCatalog, LatencyHistogram, QueryRequest,
                          QueryService, ServiceMetrics)
 
@@ -433,21 +433,25 @@ class TestDeadlines:
                                default_budgets=Budgets(wall_seconds=60.0,
                                                        max_steps=100_000))
         try:
-            tightened = service._budgets_for(remaining=1.5)
+            tightened = deadline_budgets(service.default_budgets,
+                                         remaining=1.5)
             assert tightened.wall_seconds == 1.5
             assert tightened.max_steps == 100_000
-            kept = service._budgets_for(remaining=120.0)
+            kept = deadline_budgets(service.default_budgets,
+                                    remaining=120.0)
             assert kept.wall_seconds == 60.0
-            assert service._budgets_for(None) is service.default_budgets
+            assert deadline_budgets(service.default_budgets, None) \
+                is service.default_budgets
         finally:
             service.close()
 
     def test_deadline_creates_budgets_when_no_defaults(self):
         service = QueryService(site_catalog(), workers=1)
         try:
-            budgets = service._budgets_for(remaining=2.0)
+            budgets = deadline_budgets(service.default_budgets,
+                                       remaining=2.0)
             assert budgets.wall_seconds == 2.0
-            assert service._budgets_for(None) is None
+            assert deadline_budgets(service.default_budgets, None) is None
         finally:
             service.close()
 
@@ -826,7 +830,7 @@ class TestDeadWorkerShutdown:
 
     def wait_for_worker_death(self, service):
         for _ in range(200):
-            if not service._workers[0].is_alive():
+            if not service._threads[0].is_alive():
                 return
             time.sleep(0.01)
         raise AssertionError("worker never died")

@@ -93,10 +93,10 @@ class CostModel:
         self.summary = document.summary if summary is CostModel._UNSET \
             else summary
         self.size = max(document.size, 1)
-        elements = document.all_elements()
-        child_counts = [len(element.children) for element in elements]
-        self.average_fanout = (sum(child_counts) / len(child_counts)
-                               if child_counts else 1.0)
+        columns = document.columns
+        elements = len(columns.element_pres)
+        self.average_fanout = (columns.element_child_count() / elements
+                               if elements else 1.0)
 
     # -- statistics -----------------------------------------------------------
 
@@ -124,7 +124,8 @@ class CostModel:
         total = 0.0
         for step in path.steps:
             if isinstance(step.test, NameTest):
-                total += len(self.document.stream(step.test.name)) * fraction
+                total += len(self.document.tag_pres.get(step.test.name,
+                                                        ())) * fraction
             else:
                 total += self.size * fraction
             for branch in step.predicates:

@@ -87,7 +87,7 @@ def estimated_stream_size(document: IndexedDocument,
     total = 0
     for step in path.steps:
         if isinstance(step.test, NameTest):
-            total += len(document.stream(step.test.name))
+            total += len(document.tag_pres.get(step.test.name, ()))
         else:
             total += document.size
         for branch in step.predicates:

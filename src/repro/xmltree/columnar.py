@@ -46,7 +46,8 @@ import struct
 import time
 import zlib
 from array import array
-from typing import BinaryIO, Dict, List, Optional, Sequence, Tuple, Union
+from typing import (BinaryIO, Dict, Iterator, List, Optional, Sequence,
+                    Tuple, Union)
 
 from ..guard.chaos import InjectedFault, chaos_point
 from ..guard.errors import ReproError
@@ -307,6 +308,30 @@ class ColumnarDocument:
         while stop < n and kind[stop] == KIND_ATTRIBUTE:
             stop += 1
         return range(element_pre + 1, stop)
+
+    def children_of(self, pre: int) -> Iterator[int]:
+        """The ``pre`` numbers of a node's children, in document order.
+
+        The first child follows the node's attribute run; each next
+        sibling starts right after the previous child's subtree, at
+        ``end[child] + 1``."""
+        end = self.end
+        child = self.attributes_of(pre).stop
+        stop = end[pre]
+        while child <= stop:
+            yield child
+            child = end[child] + 1
+
+    def element_child_count(self) -> int:
+        """Total children (elements and text) over all elements.
+
+        Every node but the document node and the attributes is the
+        child of an element or of the document node, so this is a
+        count over the document node's few children only."""
+        attributes = sum(len(stream)
+                         for stream in self.attribute_pres.values())
+        top_level = sum(1 for _ in self.children_of(0))
+        return self.n - 1 - attributes - top_level
 
     def test_matches(self, pre: int, test: NodeTest,
                      principal_kind: str = "element") -> bool:
@@ -634,7 +659,7 @@ class ColumnarDocument:
         the map cannot be unmapped eagerly — the reference is released
         and the OS mapping goes away when the last view is collected.
         After closing, column access raises; close only when no engine
-        holds the document anymore."""
+        holds the document anymore (or :meth:`detach` instead)."""
         if self._source is not None:
             # Drop the lazily-derived views first: releasing an mmap
             # with exported memoryviews raises BufferError.
@@ -645,17 +670,40 @@ class ColumnarDocument:
             self.text_pres = self.element_pres = None
             self._non_attribute_pres = None
             self._all_attribute_pres = None
-            if isinstance(self.names, _LazyStrings):
-                self.names = list(self.names)
-            if isinstance(self.texts, _LazyStrings):
-                self.texts = list(self.texts)
-            try:
-                self._source.close()
-            except BufferError:
-                # An external holder keeps a view alive; defer the
-                # unmap to garbage collection of that view.
-                pass
-            self._source = None
+            self._release()
+
+    def detach(self) -> None:
+        """Copy every mapped column into process memory, then release
+        the mmap: unlike :meth:`close`, the store stays fully usable.
+        A ``memcpy`` per column, with no string decoded; a no-op for
+        in-memory stores."""
+        if self._source is not None:
+            for name in _INT_COLUMNS:
+                setattr(self, name, _copy_column(getattr(self, name), "i"))
+            self.kind = _copy_column(self.kind, "B")
+            self.tag_pres = {tag: _copy_column(stream, "i")
+                             for tag, stream in self.tag_pres.items()}
+            self.attribute_pres = {
+                name: _copy_column(stream, "i")
+                for name, stream in self.attribute_pres.items()}
+            self.text_pres = _copy_column(self.text_pres, "i")
+            self.element_pres = _copy_column(self.element_pres, "i")
+            self._non_attribute_pres = None
+            self._all_attribute_pres = None
+            self._release()
+
+    def _release(self) -> None:
+        for name in ("names", "texts"):
+            table = getattr(self, name)
+            if isinstance(table, _LazyStrings):
+                setattr(self, name, table.detached())
+        try:
+            self._source.close()
+        except BufferError:
+            # An external holder keeps a view alive; defer the unmap
+            # to garbage collection of that view.
+            pass
+        self._source = None
         if self._source_file is not None:
             self._source_file.close()
             self._source_file = None
@@ -698,6 +746,14 @@ def _uint8_bytes(column) -> bytes:
     return memoryview(column).tobytes()
 
 
+def _copy_column(column, typecode: str) -> array:
+    if isinstance(column, array):
+        return column
+    copied = array(typecode)
+    copied.frombytes(column.cast("B"))
+    return copied
+
+
 def _encode_strings(values: Sequence[str]) -> Tuple[bytes, bytes]:
     """A string table: int32 end-offsets (exclusive, cumulative) plus
     one concatenated UTF-8 blob."""
@@ -726,6 +782,13 @@ class _LazyStrings(Sequence[str]):
 
     def __len__(self) -> int:
         return len(self._offsets)
+
+    def detached(self) -> "_LazyStrings":
+        """The same table over process-memory copies of its buffers."""
+        table = _LazyStrings(_copy_column(self._offsets, "i"),
+                             bytes(self._blob))
+        table._cache = self._cache
+        return table
 
     def __getitem__(self, slot):
         if isinstance(slot, slice):

@@ -2,30 +2,32 @@
 
 The structural-join algorithms (TwigJoin, Staircase join) do not navigate
 the tree; they scan *streams*: for each element tag, the sorted (by
-``pre``) list of elements with that tag.  :class:`IndexedDocument` builds
-these streams once per document, together with a dense array of all
-nodes indexed by ``pre`` number.
+``pre``) list of elements with that tag.  :class:`IndexedDocument` keeps
+these streams together with a table of nodes indexed by ``pre`` number.
 
-Since the columnar refactor the class is a *two-way facade* over
+The class is a *two-way facade* over
 :class:`~repro.xmltree.columnar.ColumnarDocument`:
 
 tree-first
-    built from a parsed :class:`DocumentNode` (the historical path);
-    the node table and streams are built eagerly as before, and the
-    integer columns the join inner loops scan are derived lazily on
-    first access to :attr:`columns`.
+    built from a parsed :class:`DocumentNode`; the node table and
+    streams are built eagerly, and the integer columns the join inner
+    loops scan are derived lazily on first access to :attr:`columns`.
 column-first
     built from a :class:`ColumnarDocument` — typically mmap-opened from
     a saved index file via :meth:`IndexedDocument.open`.  The joins run
-    directly on the integer columns; the object tree (and every
-    node-level accessor: :attr:`root`, :attr:`nodes_by_pre`,
-    :attr:`tag_streams`, …) is materialized lazily, in one linear pass
-    with no re-parse and no re-indexing, the first time something
-    actually needs node objects (usually result serialization).
+    directly on the integer columns, and node objects exist only for
+    the nodes a query touches: :meth:`IndexedDocument.node_at` creates
+    a node (and its missing ancestors) from the columns on first
+    request, and a container node fills its ``children`` and
+    ``attributes`` from the columns on first access.  :attr:`root` is
+    ``node_at(0)``; the node-level streams (:attr:`nodes_by_pre`,
+    :meth:`stream`, …) are derived through :meth:`node_at` as they are
+    asked for.
 
 Either way, every consumer of the old API — the seven strategies, the
-path summary, the prefilter, serve, trace — sees the same attributes
-with the same meaning.
+path summary (built from the columns, see :mod:`repro.xmltree.summary`),
+the prefilter, serve, trace — sees the same attributes with the same
+meaning, and ``node_at(p) is node_at(p)`` always holds.
 
 The module also provides :func:`ddo` — sorting by document order with
 duplicate elimination — the dynamic counterpart of the special function
@@ -62,9 +64,12 @@ class IndexedDocument:
                 "IndexedDocument takes exactly one of root= or columns=")
         self._root = root
         self._columns = columns
+        #: the node table indexed by ``pre``; on column-first documents
+        #: it holds ``None`` for every node not created yet.
+        self._nodes: Optional[list[Optional[Node]]] = None
         self._nodes_by_pre: Optional[list[Node]] = None
         self._pres: Optional[list[int]] = None
-        self._tag_streams: Optional[dict[str, list[ElementNode]]] = None
+        self._tag_streams: dict[str, list[ElementNode]] = {}
         self._tag_pres: Optional[dict[str, Sequence[int]]] = None
         self._attribute_streams: Optional[
             dict[str, list[AttributeNode]]] = None
@@ -72,6 +77,7 @@ class IndexedDocument:
         self._summary = None
         self._summary_lock = threading.Lock()
         self._columns_lock = threading.Lock()
+        #: guards node creation and filling on column-first documents.
         self._tree_lock = threading.Lock()
         self._store_kind = "object" if root is not None else "columnar"
         if root is not None:
@@ -79,6 +85,7 @@ class IndexedDocument:
         else:
             # Streams of pre numbers come straight from the columns; no
             # node object exists until something dereferences one.
+            self._size = columns.n
             self._tag_pres = columns.tag_pres
 
     @classmethod
@@ -119,6 +126,8 @@ class IndexedDocument:
         locked), from the dense node table.
         """
         if self._columns is None:
+            if self._store_kind == "columnar":
+                raise _closed()
             with self._columns_lock:
                 if self._columns is None:
                     self._columns = ColumnarDocument.from_nodes(
@@ -131,24 +140,32 @@ class IndexedDocument:
         behind :attr:`columns`)."""
         return self._columns is not None
 
-    # -- lazy tree materialization (column-first documents) ------------------
+    # -- node access ----------------------------------------------------------
 
     @property
     def root(self) -> DocumentNode:
-        if self._root is None:
-            self._materialize()
-        return self._root
+        root = self._root
+        if root is None:
+            root = self.node_at(0) if self._size else None
+            if not isinstance(root, DocumentNode):
+                raise StorageError("column store has no document node",
+                                   check="root", path=self._columns.path)
+        return root
 
     @property
     def nodes_by_pre(self) -> list[Node]:
+        """Every node, in ``pre`` order (on a column-first document this
+        creates every node not created yet)."""
         if self._nodes_by_pre is None:
-            self._materialize()
+            for pre in range(self._size):
+                self.node_at(pre)
+            self._nodes_by_pre = self._nodes
         return self._nodes_by_pre
 
     @property
     def tag_streams(self) -> dict[str, list[ElementNode]]:
-        if self._tag_streams is None:
-            self._materialize()
+        for tag in self._tag_pres:
+            self.stream(tag)
         return self._tag_streams
 
     @property
@@ -159,13 +176,16 @@ class IndexedDocument:
     @property
     def attribute_streams(self) -> dict[str, list[AttributeNode]]:
         if self._attribute_streams is None:
-            self._materialize()
+            self._attribute_streams = {
+                name: [self.node_at(pre) for pre in pres]
+                for name, pres in self.columns.attribute_pres.items()}
         return self._attribute_streams
 
     @property
     def text_stream(self) -> list[TextNode]:
         if self._text_stream is None:
-            self._materialize()
+            self._text_stream = [self.node_at(pre)
+                                 for pre in self.columns.text_pres]
         return self._text_stream
 
     def _build(self) -> None:
@@ -179,7 +199,8 @@ class IndexedDocument:
                     table.append(attribute)
             stack.extend(reversed(node.children))
         table.sort(key=_PRE_KEY)
-        self._nodes_by_pre = table
+        self._nodes = self._nodes_by_pre = table
+        self._size = len(table)
         tag_streams: dict[str, list[ElementNode]] = {}
         attribute_streams: dict[str, list[AttributeNode]] = {}
         text_stream: list[TextNode] = []
@@ -198,87 +219,126 @@ class IndexedDocument:
             for tag, stream in tag_streams.items()
         }
 
-    def _materialize(self) -> None:
-        """Rebuild the object tree from the columns: one linear pass,
-        region numbers copied straight from the columns — no XML
-        parse, no :func:`~repro.xmltree.node.assign_regions`, no sort.
+    def node_at(self, pre: int) -> Node:
+        """The node with the given ``pre`` number.
 
-        Double-check locked so concurrent first dereferences (a serve
-        worker pool serializing its first results) materialize once.
+        O(1) by construction on densely numbered tables (the normal
+        case: :func:`~repro.xmltree.node.assign_regions` numbers every
+        node, attributes included, consecutively).  On a column-first
+        document the node is created from the columns on first request,
+        its missing ancestors first so ``parent`` is always set, and
+        cached, so later requests return the same object.  If a
+        tree-first table is *not* dense — e.g. a document wrapped around
+        a re-rooted fragment that kept its original numbers — the lookup
+        degrades to a binary search instead of silently returning the
+        wrong node.  Unknown ``pre`` values raise :class:`KeyError`,
+        never :class:`IndexError` and never a negative-index alias.
         """
+        table = self._nodes
+        if table is not None and 0 <= pre < len(table):
+            node = table[pre]
+            if node is not None and node.pre == pre:
+                return node
+        if self._store_kind == "columnar":
+            if 0 <= pre < self._size:
+                with self._tree_lock:
+                    return self._create(pre)
+        elif pre >= 0:
+            # Sparse table: fall back to bisect over the sorted pres.
+            if self._pres is None:
+                self._pres = [node.pre for node in table]
+            index = bisect_left(self._pres, pre)
+            if index < len(table) and table[index].pre == pre:
+                return table[index]
+        raise KeyError(f"no node with pre={pre}")
+
+    def _create(self, pre: int) -> Node:
+        """Node ``pre`` of a column-first document, created with its
+        missing ancestors if needed.  Call with the tree lock held."""
+        nodes = self._nodes
+        if nodes is None:
+            nodes = self._nodes = [None] * self._size
+        node = nodes[pre]
+        if node is not None:
+            return node
+        columns = self._columns
+        if columns is None:
+            raise _closed()
+        parent_col = columns.parent
+        missing = [pre]
+        ancestor = parent_col[pre]
+        while ancestor >= 0 and nodes[ancestor] is None:
+            missing.append(ancestor)
+            ancestor = parent_col[ancestor]
+        node = nodes[ancestor] if ancestor >= 0 else None
+        for missing_pre in reversed(missing):
+            node = self._new_node(columns, missing_pre, node)
+        return node
+
+    def _new_node(self, columns: ColumnarDocument, pre: int,
+                  parent: Optional[Node]) -> Node:
+        kind = columns.kind[pre]
+        node: Node
+        if kind == KIND_ELEMENT:
+            node = ElementNode.__new__(ElementNode)
+            node._name = columns.name_of(pre)
+            node._children = node._attributes = None
+            node._source = self
+        elif kind == KIND_ATTRIBUTE:
+            node = AttributeNode(columns.name_of(pre), columns.text_of(pre))
+        elif kind == KIND_DOCUMENT:
+            node = DocumentNode.__new__(DocumentNode)
+            node.uri = columns.uri
+            node._children = None
+            node._source = self
+            self._root = node
+        else:
+            node = TextNode(columns.text_of(pre))
+        node.pre = pre
+        node.post = columns.post[pre]
+        node.level = columns.level[pre]
+        node.end = columns.end[pre]
+        node.parent = parent
+        self._nodes[pre] = node
+        return node
+
+    def fill(self, node: Union[DocumentNode, ElementNode]) -> None:
+        """Fill the children (and attributes) of a container node that
+        :meth:`node_at` created, from the columns.  Called by the node's
+        ``children``/``attributes`` properties on first access."""
         with self._tree_lock:
-            if self._nodes_by_pre is not None:
+            if node._children is not None:
                 return
             columns = self._columns
             if columns is None:
-                raise StorageError(
-                    "document store was closed before its node tree "
-                    "was materialized", check="closed")
-            kind_col = columns.kind
-            post_col = columns.post
-            level_col = columns.level
-            end_col = columns.end
-            parent_col = columns.parent
-            n = columns.n
-            table: list[Node] = []
-            tag_streams: dict[str, list[ElementNode]] = {}
-            attribute_streams: dict[str, list[AttributeNode]] = {}
-            text_stream: list[TextNode] = []
-            root: Optional[DocumentNode] = None
-            for pre in range(n):
-                kind = kind_col[pre]
-                node: Node
-                if kind == KIND_ELEMENT:
-                    node = ElementNode(columns.name_of(pre))
-                    tag_streams.setdefault(node.name, []).append(node)
-                elif kind == KIND_ATTRIBUTE:
-                    node = AttributeNode(columns.name_of(pre),
-                                         columns.text_of(pre))
-                    attribute_streams.setdefault(node.name,
-                                                 []).append(node)
-                elif kind == KIND_DOCUMENT:
-                    node = DocumentNode(columns.uri)
-                    root = node
-                else:
-                    node = TextNode(columns.text_of(pre))
-                    text_stream.append(node)
-                node.pre = pre
-                node.post = post_col[pre]
-                node.level = level_col[pre]
-                node.end = end_col[pre]
-                parent_pre = parent_col[pre]
-                if parent_pre >= 0:
-                    parent = table[parent_pre]
-                    node.parent = parent
-                    if kind == KIND_ATTRIBUTE:
-                        parent._attributes.append(node)
-                    else:
-                        parent._children.append(node)
-                table.append(node)
-            if root is None:
-                raise StorageError("column store has no document node",
-                                   check="root", path=columns.path)
-            # Publish the complete structures in one step; readers that
-            # race past the lock see either nothing or everything.
-            self._tag_streams = tag_streams
-            self._attribute_streams = attribute_streams
-            self._text_stream = text_stream
-            self._root = root
-            self._nodes_by_pre = table
+                raise _closed()
+            nodes = self._nodes
+            pre = node.pre
+            if isinstance(node, ElementNode):
+                node._attributes = [
+                    nodes[child] or self._new_node(columns, child, node)
+                    for child in columns.attributes_of(pre)]
+            node._children = [
+                nodes[child] or self._new_node(columns, child, node)
+                for child in columns.children_of(pre)]
 
     # -- stream access ------------------------------------------------------
 
     @property
     def size(self) -> int:
-        """Total node count — answered from the columns when the node
-        table does not exist yet."""
-        if self._nodes_by_pre is not None:
-            return len(self._nodes_by_pre)
-        return self._columns.n
+        """Total node count — answered without creating any node."""
+        return self._size
 
     def stream(self, tag: str) -> list[ElementNode]:
         """All elements with ``tag``, sorted by ``pre``."""
-        return self.tag_streams.get(tag, [])
+        stream = self._tag_streams.get(tag)
+        if stream is None:
+            pres = self._tag_pres.get(tag)
+            if pres is None:
+                return []
+            stream = [self.node_at(pre) for pre in pres]
+            self._tag_streams[tag] = stream
+        return stream
 
     def all_elements(self) -> list[ElementNode]:
         return [node for node in self.nodes_by_pre
@@ -300,17 +360,14 @@ class IndexedDocument:
         low_key = context.pre if include_self else context.pre + 1
         low = bisect_left(pres, low_key)
         high = bisect_right(pres, context.end)
-        if low >= high:
-            return []
-        stream = self.tag_streams[tag]
-        return stream[low:high]
+        return [self.node_at(pres[index]) for index in range(low, high)]
 
     @property
     def summary(self):
         """The document's structural path summary (see
-        :mod:`repro.xmltree.summary`), built on first access and cached
-        for the document's lifetime — documents are immutable, so the
-        summary never needs invalidation.
+        :mod:`repro.xmltree.summary`), built from the columns on first
+        access and cached for the document's lifetime — documents are
+        immutable, so the summary never needs invalidation.
 
         The build is double-check locked: concurrent first accesses
         (e.g. a :mod:`repro.serve` worker pool warming one document)
@@ -324,45 +381,35 @@ class IndexedDocument:
                     self._summary = PathSummary(self)
         return self._summary
 
-    def node_at(self, pre: int) -> Node:
-        """The node with the given ``pre`` number.
-
-        O(1) by construction on densely numbered tables (the normal
-        case: :func:`~repro.xmltree.node.assign_regions` numbers every
-        node, attributes included, consecutively).  If the table is
-        *not* dense — e.g. a document wrapped around a re-rooted
-        fragment that kept its original numbers — the lookup degrades
-        to a binary search instead of silently returning the wrong
-        node.  Unknown ``pre`` values raise :class:`KeyError`, never
-        :class:`IndexError` and never a negative-index alias.
-        """
-        table = self.nodes_by_pre
-        if 0 <= pre < len(table):
-            node = table[pre]
-            if node.pre == pre:
-                return node
-        if pre >= 0:
-            # Sparse table: fall back to bisect over the sorted pres.
-            if self._pres is None:
-                self._pres = [node.pre for node in table]
-            index = bisect_left(self._pres, pre)
-            if index < len(table) and table[index].pre == pre:
-                return table[index]
-        raise KeyError(f"no node with pre={pre}")
-
     def close(self) -> None:
         """Release the mmap behind a column-first document (no-op for
         tree-first documents).
 
-        The integer streams are detached into plain lists first, so a
-        document whose object tree was already materialized keeps
-        answering queries (it simply becomes an ordinary in-memory
-        document)."""
-        if self._columns is not None and self._columns.is_mapped:
+        When nodes were already handed out, the columns are copied into
+        process memory first (:meth:`ColumnarDocument.detach`), so those
+        nodes keep filling their children and the document keeps
+        answering queries.  Otherwise the columns are dropped and any
+        later node access raises :class:`StorageError`
+        (``check="closed"``)."""
+        columns = self._columns
+        if columns is None or not columns.is_mapped:
+            return
+        if self._nodes is not None:
+            # Drop our references to the mapped streams before the map
+            # is released, then point at the detached copies.
+            self._tag_pres = None
+            columns.detach()
+            self._tag_pres = columns.tag_pres
+        else:
             self._tag_pres = {tag: list(stream)
                               for tag, stream in self._tag_pres.items()}
-            self._columns.close()
+            columns.close()
             self._columns = None
+
+
+def _closed() -> StorageError:
+    return StorageError("document store was closed before its nodes "
+                        "were created", check="closed")
 
 
 def document_order(nodes: Iterable[Node]) -> list[Node]:

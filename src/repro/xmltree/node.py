@@ -115,20 +115,32 @@ class DocumentNode(Node):
     Its single sequence of children normally contains one element (the
     document element), possibly surrounded by text produced by lenient
     parsing modes.
+
+    A node created on demand from a column store (see
+    :meth:`IndexedDocument.node_at
+    <repro.xmltree.document.IndexedDocument.node_at>`) starts with
+    ``_children`` unset (``None``) and ``_source`` naming that
+    document; the first access to :attr:`children` fills the list from
+    the columns.
     """
 
-    __slots__ = ("_children", "uri")
+    __slots__ = ("_children", "uri", "_source")
 
     kind = "document"
 
     def __init__(self, uri: str = "") -> None:
         super().__init__()
         self.uri = uri
-        self._children: list[Node] = []
+        self._children: Optional[list[Node]] = []
+        self._source = None
 
     @property
     def children(self) -> Sequence[Node]:
-        return self._children
+        children = self._children
+        if children is None:
+            self._source.fill(self)
+            children = self._children
+        return children
 
     def append_child(self, child: Node) -> None:
         child.parent = self
@@ -136,13 +148,13 @@ class DocumentNode(Node):
 
     @property
     def document_element(self) -> Optional["ElementNode"]:
-        for child in self._children:
+        for child in self.children:
             if isinstance(child, ElementNode):
                 return child
         return None
 
     def string_value(self) -> str:
-        return "".join(child.string_value() for child in self._children)
+        return "".join(child.string_value() for child in self.children)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         element = self.document_element
@@ -151,17 +163,23 @@ class DocumentNode(Node):
 
 
 class ElementNode(Node):
-    """An element node with attributes and children."""
+    """An element node with attributes and children.
 
-    __slots__ = ("_name", "_children", "_attributes")
+    Like :class:`DocumentNode`, an element created on demand from a
+    column store fills ``_children`` and ``_attributes`` from its
+    ``_source`` document on first access.
+    """
+
+    __slots__ = ("_name", "_children", "_attributes", "_source")
 
     kind = "element"
 
     def __init__(self, name: str) -> None:
         super().__init__()
         self._name = name
-        self._children: list[Node] = []
-        self._attributes: list[AttributeNode] = []
+        self._children: Optional[list[Node]] = []
+        self._attributes: Optional[list[AttributeNode]] = []
+        self._source = None
 
     @property
     def name(self) -> str:
@@ -169,11 +187,19 @@ class ElementNode(Node):
 
     @property
     def children(self) -> Sequence[Node]:
-        return self._children
+        children = self._children
+        if children is None:
+            self._source.fill(self)
+            children = self._children
+        return children
 
     @property
     def attributes(self) -> Sequence["AttributeNode"]:
-        return self._attributes
+        attributes = self._attributes
+        if attributes is None:
+            self._source.fill(self)
+            attributes = self._attributes
+        return attributes
 
     def append_child(self, child: Node) -> None:
         child.parent = self
@@ -186,7 +212,7 @@ class ElementNode(Node):
         return attribute
 
     def get_attribute(self, name: str) -> Optional[str]:
-        for attribute in self._attributes:
+        for attribute in self.attributes:
             if attribute.name == name:
                 return attribute.value
         return None

@@ -1,7 +1,8 @@
 """Structural path summary (a DataGuide over tag paths).
 
-A :class:`PathSummary` is built from an :class:`IndexedDocument` in one
-pass and never invalidated (documents are immutable).  It maps every
+A :class:`PathSummary` is built from an :class:`IndexedDocument`'s
+integer columns in one pass — no node object is created — and never
+invalidated (documents are immutable).  It maps every
 distinct root-to-node *tag path* — the tuple of element names from the
 document element down to a node — to its statistics: how many elements
 share the path, the depth range of the subtrees below it, which child
@@ -32,7 +33,7 @@ from typing import (TYPE_CHECKING, Dict, Iterable, Iterator, List, Optional,
                     Set, Tuple, Union)
 
 from .axes import Axis
-from .node import (AttributeNode, DocumentNode, ElementNode, Node, TextNode)
+from .node import AttributeNode, ElementNode, Node, TextNode
 from .nodetest import (AnyKindTest, ElementTest, NameTest, TextTest,
                        WildcardTest)
 
@@ -115,42 +116,62 @@ class PathSummary:
         self._embed_cache: Dict[Tuple[object, Point], bool] = {}
         self._volume_cache: Dict[object, Optional[float]] = {}
         self._patterns: Dict[int, object] = {}
-        self._build(document.root)
+        self._build(document.columns)
 
     # -- construction -------------------------------------------------------
 
-    def _build(self, root: DocumentNode) -> None:
-        interned: Dict[Tuple[int, str], TagPath] = {}
-        stack: List[Tuple[Node, TagPath]] = [(root, ())]
-        while stack:
-            node, parent_path = stack.pop()
-            for child in node.children:
-                if isinstance(child, ElementNode):
-                    key = (id(parent_path), child.name)
-                    path = interned.get(key)
-                    if path is None:
-                        path = parent_path + (child.name,)
-                        interned[key] = path
-                    stats = self.stats.get(path)
-                    if stats is None:
-                        stats = PathStats(path)
-                        self.stats[path] = stats
-                        self.children[path] = set()
-                        self.text_counts[path] = 0
-                        self.tag_paths.setdefault(child.name, []).append(path)
-                    stats.count += 1
-                    self.total_elements += 1
-                    self.children[parent_path].add(child.name)
-                    if parent_path:
-                        self.stats[parent_path].child_tags[child.name] += 1
-                    for attribute in child.attributes:
-                        stats.attributes.add(attribute.name)
-                    stack.append((child, path))
-                elif isinstance(child, TextNode):
-                    self.text_counts[parent_path] += 1
-                    self.total_text += 1
-                    if parent_path:
-                        self.stats[parent_path].text_count += 1
+    def _build(self, columns) -> None:
+        """Fill the statistics from the ``parent``/``name_id`` columns
+        and the element, text and attribute ``pre`` streams.
+
+        Paths are numbered as they first occur (id 0 is the document
+        point ``()``).  Elements come in ``pre`` order, so a parent's
+        path id is known before its children's."""
+        parent_col = columns.parent
+        name_col = columns.name_id
+        names = columns.names
+        width = len(names)
+        # Path id per pre (set for elements and the document node).
+        point = [0] * columns.n
+        intern: Dict[int, int] = {}
+        parents = [0]
+        tags = [-1]
+        counts = [0]
+        for pre in columns.element_pres:
+            parent = point[parent_col[pre]]
+            name_id = name_col[pre]
+            key = parent * width + name_id
+            path = intern.get(key)
+            if path is None:
+                path = intern[key] = len(parents)
+                parents.append(parent)
+                tags.append(name_id)
+                counts.append(0)
+            counts[path] += 1
+            point[pre] = path
+        text_counts = [0] * len(parents)
+        for pre in columns.text_pres:
+            text_counts[point[parent_col[pre]]] += 1
+        paths: List[TagPath] = [()]
+        self.text_counts[()] = text_counts[0]
+        for path_id in range(1, len(parents)):
+            name = names[tags[path_id]]
+            parent_path = paths[parents[path_id]]
+            path = parent_path + (name,)
+            paths.append(path)
+            stats = self.stats[path] = PathStats(path, counts[path_id])
+            stats.text_count = text_counts[path_id]
+            self.children[path] = set()
+            self.text_counts[path] = stats.text_count
+            self.tag_paths.setdefault(name, []).append(path)
+            self.children[parent_path].add(name)
+            if parent_path:
+                self.stats[parent_path].child_tags[name] = stats.count
+        for name, pres in columns.attribute_pres.items():
+            for path_id in {point[parent_col[pre]] for pre in pres}:
+                self.stats[paths[path_id]].attributes.add(name)
+        self.total_elements = len(columns.element_pres)
+        self.total_text = len(columns.text_pres)
         # Bottom-up pass: subtree height and text reachability per path.
         for path in sorted(self.stats, key=len, reverse=True):
             stats = self.stats[path]

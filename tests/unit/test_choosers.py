@@ -86,3 +86,53 @@ class TestStrategyEnumCompleteness:
                      "auto", "cost"):
             got = [n.pre for n in engine.run("$input//t02", strategy=name)]
             assert got == expected, name
+
+
+class TestChooserStatisticsFromColumns:
+    """The choosers' document statistics come from the columns; they
+    must equal the node-level definitions, on both stores."""
+
+    PATHS = ["IN#d/descendant::t01[child::t02]/child::t03{o}",
+             "IN#d/descendant::*/child::t04{o}",
+             "IN#d/descendant::nosuchtag{o}"]
+
+    @pytest.fixture(scope="class")
+    def stores(self, doc, tmp_path_factory):
+        from repro.xmltree import IndexedDocument
+        path = tmp_path_factory.mktemp("choosers") / "member.rpxc"
+        doc.save(path)
+        reopened = IndexedDocument.open(path)
+        yield doc, reopened
+        reopened.close()
+
+    def test_identical_on_object_and_reopened_store(self, stores):
+        from repro.physical.cost import CostModel
+        from repro.physical.strategy import estimated_stream_size
+        doc, reopened = stores
+        assert reopened.store_kind == "columnar"
+        models = [CostModel(store, summary=None) for store in stores]
+        elements = doc.all_elements()
+        fanout = (sum(len(element.children) for element in elements)
+                  / len(elements))
+        assert [model.average_fanout for model in models] == [fanout] * 2
+        for text in self.PATHS:
+            path = parse_pattern(text).path
+            sizes = [estimated_stream_size(store, path) for store in stores]
+            volumes = [model._tag_count_volume(path, 300)
+                       for model in models]
+            assert sizes[0] == sizes[1]
+            assert volumes[0] == volumes[1]
+        path = parse_pattern(self.PATHS[0]).path
+        assert estimated_stream_size(doc, path) == (
+            len(doc.stream("t01")) + len(doc.stream("t02"))
+            + len(doc.stream("t03")))
+
+    def test_statistics_create_no_nodes(self, stores):
+        from repro.physical.cost import CostModel
+        from repro.physical.strategy import estimated_stream_size
+        from repro.xmltree import IndexedDocument
+        _, reopened = stores
+        fresh = IndexedDocument(columns=reopened.columns)
+        CostModel(fresh, summary=None)
+        estimated_stream_size(fresh, parse_pattern(self.PATHS[0]).path)
+        assert fresh._nodes is None

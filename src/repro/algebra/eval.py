@@ -16,15 +16,10 @@ algorithm" seam.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, TYPE_CHECKING
+from typing import Dict, List, Optional
 
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from ..trace import Trace
-
-from ..guard.chaos import chaos_point
-from ..guard.errors import AlgorithmError
-from ..guard.governor import BudgetExceeded, ResourceGovernor
-from ..obs import ExecMetrics
+from ..compiled.runtime import context_nodes, is_numeric_singleton, ttp_eval
+from ..obs import Probe
 from ..pattern import TreePattern
 from ..physical.base import TreePatternAlgorithm
 from ..xmltree.axes import step as axis_step
@@ -51,18 +46,11 @@ class EvalContext:
     globals: Dict[Var, Sequence_] = field(default_factory=dict)
     variables: Dict[Var, Sequence_] = field(default_factory=dict)
     tuple_stack: List[Tuple_] = field(default_factory=list)
-    #: when set, the evaluator counts operator evaluations and
-    #: items/tuples produced into it (see :mod:`repro.obs`).
-    metrics: Optional[ExecMetrics] = None
-    #: when set, the evaluator charges steps/recursion/output against
-    #: its budgets and raises :class:`BudgetExceeded` on a trip
-    #: (see :mod:`repro.guard.governor`).
-    governor: Optional[ResourceGovernor] = None
-    #: when set, the evaluator opens one span per plan-operator
-    #: evaluation — carrying output cardinality — and aggregates exact
-    #: per-operator wall time into :attr:`repro.trace.Trace.op_stats`
-    #: (see :mod:`repro.trace`).
-    trace: Optional["Trace"] = None
+    #: when set, every operator evaluation goes through
+    #: :meth:`repro.obs.Probe.operator`: counted, spanned with its
+    #: output cardinality, and charged against the step, depth and
+    #: output budgets.
+    probe: Optional[Probe] = None
 
     def lookup_var(self, var: Var) -> Sequence_:
         if var in self.variables:
@@ -86,37 +74,9 @@ def evaluate_plan(plan: Plan, context: EvalContext):
 
 
 def eval_item(plan: ItemPlan, ctx: EvalContext) -> Sequence_:
-    metrics = ctx.metrics
-    governor = ctx.governor
-    trace = ctx.trace
-    if metrics is None and governor is None and trace is None:
+    if ctx.probe is None:
         return _eval_item(plan, ctx)
-    if metrics is not None:
-        metrics.operator_evals[type(plan).__name__] += 1
-    span = trace.begin_span(type(plan).__name__) \
-        if trace is not None else None
-    try:
-        if governor is None:
-            result = _eval_item(plan, ctx)
-        else:
-            governor.tick()
-            governor.enter()
-            try:
-                result = _eval_item(plan, ctx)
-            finally:
-                governor.leave()
-            governor.note_output(len(result))
-    except BaseException:
-        if span is not None:
-            trace.end_span(span, error=True)
-        raise
-    if span is not None:
-        trace.end_span(span, rows=len(result))
-        trace.record_op(id(plan), type(plan).__name__, span.duration,
-                        len(result))
-    if metrics is not None:
-        metrics.items_produced += len(result)
-    return result
+    return ctx.probe.operator(plan, _eval_item, ctx, False)
 
 
 def _eval_item(plan: ItemPlan, ctx: EvalContext) -> Sequence_:
@@ -195,14 +155,9 @@ def _eval_item(plan: ItemPlan, ctx: EvalContext) -> Sequence_:
 def _eval_typeswitch(plan: TypeswitchPlan, ctx: EvalContext) -> Sequence_:
     value = eval_item(plan.input, ctx)
     for case in plan.cases:
-        if case.seqtype == "numeric" and _is_numeric_singleton(value):
+        if case.seqtype == "numeric" and is_numeric_singleton(value):
             return _with_binding(ctx, case.var, value, case.body)
     return _with_binding(ctx, plan.default_var, value, plan.default_body)
-
-
-def _is_numeric_singleton(value: Sequence_) -> bool:
-    return (len(value) == 1 and isinstance(value[0], (int, float))
-            and not isinstance(value[0], bool))
 
 
 def _with_binding(ctx: EvalContext, var: Var, value: Sequence_,
@@ -219,37 +174,9 @@ def _with_binding(ctx: EvalContext, var: Var, value: Sequence_,
 
 
 def eval_tuples(plan: TuplePlan, ctx: EvalContext) -> List[Tuple_]:
-    metrics = ctx.metrics
-    governor = ctx.governor
-    trace = ctx.trace
-    if metrics is None and governor is None and trace is None:
+    if ctx.probe is None:
         return _eval_tuples(plan, ctx)
-    if metrics is not None:
-        metrics.operator_evals[type(plan).__name__] += 1
-    span = trace.begin_span(type(plan).__name__) \
-        if trace is not None else None
-    try:
-        if governor is None:
-            result = _eval_tuples(plan, ctx)
-        else:
-            governor.tick()
-            governor.enter()
-            try:
-                result = _eval_tuples(plan, ctx)
-            finally:
-                governor.leave()
-            governor.note_output(len(result))
-    except BaseException:
-        if span is not None:
-            trace.end_span(span, error=True)
-        raise
-    if span is not None:
-        trace.end_span(span, rows=len(result))
-        trace.record_op(id(plan), type(plan).__name__, span.duration,
-                        len(result))
-    if metrics is not None:
-        metrics.tuples_produced += len(result)
-    return result
+    return ctx.probe.operator(plan, _eval_tuples, ctx, True)
 
 
 def _eval_tuples(plan: TuplePlan, ctx: EvalContext) -> List[Tuple_]:
@@ -287,41 +214,15 @@ def _eval_ttp(plan: TupleTreePattern, ctx: EvalContext) -> List[Tuple_]:
     if ctx.document is None:
         raise DynamicError("TupleTreePattern requires an indexed document")
     pattern: TreePattern = plan.pattern
+    source = pattern.input_field
     output: list[Tuple_] = []
     for tuple_ in eval_tuples(plan.input, ctx):
-        contexts = _context_nodes(tuple_, ctx, pattern.input_field)
-        try:
-            bindings = chaos_point(
-                "eval.ttp",
-                ctx.strategy.evaluate(ctx.document, contexts, pattern))
-        except (BudgetExceeded, DynamicError):
-            raise
-        except (KeyboardInterrupt, SystemExit):
-            raise
-        except Exception as err:
-            # Wrap so the engine can tell an algorithm failure (eligible
-            # for strategy fallback) from a query error (propagated).
-            name = getattr(ctx.strategy, "name", type(ctx.strategy).__name__)
-            raise AlgorithmError(
-                f"physical algorithm {name!r} failed: {err}",
-                algorithm=name) from err
-        for binding in bindings:
+        contexts = context_nodes(tuple_[source] if source in tuple_
+                                 else ctx.lookup_field(source))
+        for binding in ttp_eval(ctx.strategy, ctx.document, contexts,
+                                pattern):
             extended: Tuple_ = dict(tuple_)
             for field_name, node in binding.items():
                 extended[field_name] = [node]
             output.append(extended)
     return output
-
-
-def _context_nodes(tuple_: Tuple_, ctx: EvalContext,
-                   field_name: str) -> List[Node]:
-    if field_name in tuple_:
-        values = tuple_[field_name]
-    else:
-        values = ctx.lookup_field(field_name)
-    nodes: list[Node] = []
-    for value in values:
-        if not isinstance(value, Node):
-            raise DynamicError("tree pattern context is not a node")
-        nodes.append(value)
-    return nodes

@@ -2,13 +2,14 @@
 
 The interpreter in :mod:`repro.algebra.eval` is strict and pull-based:
 every operator materializes its whole result, and every evaluation pays
-an isinstance-dispatch plus (when observability is attached) a metrics/
-governor/trace wrapper call.  This module removes that overhead by
-*compiling* a plan into one Python function: the tuple-sorted operator
-chains (``MapFromItem`` → ``Select`` → ``TupleTreePattern`` → …) fuse
-into nested loops with **tuple-at-a-time push semantics** — a tuple is a
-set of Python locals, pushed through the downstream stages' code the
-moment it is produced — and only the *pipeline breakers* materialize:
+an isinstance-dispatch plus (when observability is attached) a
+:meth:`~repro.obs.Probe.operator` wrapper call.  This module removes
+that overhead by *compiling* a plan into one Python function: the
+tuple-sorted operator chains (``MapFromItem`` → ``Select`` →
+``TupleTreePattern`` → …) fuse into nested loops with **tuple-at-a-time
+push semantics** — a tuple is a set of Python locals, pushed through the
+downstream stages' code the moment it is produced — and only the
+*pipeline breakers* materialize:
 
 * ``fs:ddo`` (sort + duplicate removal needs the whole sequence),
 * aggregation ``FnCall``\\ s whose argument drains a tuple pipeline,
@@ -21,19 +22,18 @@ push-based query compilers: each tuple operator's code generator calls
 its input's generator with a *consume* callback that emits the
 downstream per-tuple code into the innermost loop body.
 
-**Parity discipline.**  Two function variants are generated per plan.
-The *fast* variant assumes no observability is attached — exactly the
-interpreter's ``metrics is None and governor is None and trace is None``
-early-out — and keeps only the semantics (including chaos points, which
-fire in plain runs too).  The *instrumented* variant re-emits every
-interpreter-side effect at the structurally matching point: one
-``operator_evals`` increment, span begin/end, ``record_op``, governor
-``tick``/``enter``/``leave``/``note_output`` per operator *activation*,
-with per-stage push counters standing in for the interpreter's
-``len(result)``.  Counter values are exact; only span *parentage* and
-governor *depth* differ inside fused pipelines (stages stay open while
-downstream per-tuple code runs) — the documented breaker-materialization
-tolerance the property suite allows for.
+**Parity discipline.**  One emitter generates two function variants per
+plan.  The *fast* variant assumes no observability is attached — exactly
+the interpreter's ``ctx.probe is None`` early-out — and keeps only the
+semantics (including chaos points, which fire in plain runs too).  The
+*instrumented* variant brackets every operator *activation* with
+``_p.enter(name)`` / ``_p.leave(plan, span, count, tuples)`` on the
+context's :class:`~repro.obs.Probe`, which replays the interpreter's
+side effects in its order, with per-stage push counters standing in for
+the interpreter's ``len(result)``.  Counter values are exact; only span
+*parentage* and governor *depth* differ inside fused pipelines (stages
+stay open while downstream per-tuple code runs) — the documented
+breaker-materialization tolerance the property suite allows for.
 
 Field names are uniquified at algebra-compile time (see
 ``repro.algebra.compile``), so tuple fields map to Python locals with a
@@ -47,9 +47,8 @@ from __future__ import annotations
 import itertools
 from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple
 
-from ..algebra.eval import EvalContext, _is_numeric_singleton
 from ..algebra.functions import call_function
 from ..algebra.ops import (Arith, Compare, Const, DDOPlan, FieldAccess,
                            FnCall, IfPlan, InputTuple, ItemPlan, LetPlan,
@@ -65,7 +64,11 @@ from ..xmltree.axes import step as axis_step
 from ..xmltree.document import ddo
 from ..xmltree.node import Node
 from ..xqcore.cast import Var
-from .runtime import context_nodes, raise_dynamic, ttp_eval, unknown_field
+from .runtime import (context_nodes, is_numeric_singleton, raise_dynamic,
+                      ttp_eval, unknown_field)
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from ..algebra.eval import EvalContext
 
 __all__ = ["CodegenError", "CompiledPlan", "compile_plan", "compile_count"]
 
@@ -105,7 +108,7 @@ _HELPERS = {
     "_ctx_nodes": context_nodes,
     "_unknown_field": unknown_field,
     "_raise_dyn": raise_dynamic,
-    "_is_num1": _is_numeric_singleton,
+    "_is_num1": is_numeric_singleton,
     "_Node": Node,
     "_Dyn": DynamicError,
 }
@@ -131,10 +134,9 @@ class CompiledPlan:
     _instrumented: Callable[[EvalContext], Sequence_]
 
     def run(self, ctx: EvalContext) -> Sequence_:
-        """Evaluate; the same is-None dispatch as the interpreter's
-        ``eval_item`` picks the variant."""
-        if ctx.metrics is None and ctx.governor is None \
-                and ctx.trace is None:
+        """Evaluate; the same ``probe is None`` check as the
+        interpreter's ``eval_item`` picks the variant."""
+        if ctx.probe is None:
             return self._fast(ctx)
         return self._instrumented(ctx)
 
@@ -259,39 +261,21 @@ class _Codegen:
     # -- instrumentation (parity with eval_item / eval_tuples) --------------
 
     def begin_op(self, plan: Plan) -> Optional[str]:
-        """Per-activation pre-instrumentation, mirroring the interpreter
-        wrapper order: metrics count, span begin, governor tick+enter."""
+        """Open one operator activation (:meth:`repro.obs.Probe.enter`:
+        count, span, governor tick + depth); returns the span local."""
         if not self.instrumented:
             return None
-        name = type(plan).__name__
         span = self.fresh("sp")
-        self.emit(f"if _m is not None: _m.operator_evals[{name!r}] += 1")
-        self.emit(f"{span} = _tr.begin_span({name!r}) "
-                  f"if _tr is not None else None")
-        self.emit("if _gov is not None:")
-        with self.block():
-            self.emit("_gov.tick()")
-            self.emit("_gov.enter()")
+        self.emit(f"{span} = _p.enter({type(plan).__name__!r})")
         return span
 
     def end_op(self, plan: Plan, span: Optional[str], count: str,
-               produced: str) -> None:
-        """Per-activation post-instrumentation: governor leave +
-        note_output, span end + record_op, produced counter.  ``count``
-        is a runtime expression for the activation's cardinality."""
-        if not self.instrumented:
-            return
-        name = type(plan).__name__
-        self.emit("if _gov is not None:")
-        with self.block():
-            self.emit("_gov.leave()")
-            self.emit(f"_gov.note_output({count})")
-        self.emit(f"if {span} is not None:")
-        with self.block():
-            self.emit(f"_tr.end_span({span}, rows={count})")
-            self.emit(f"_tr.record_op(id({self.const(plan)}), {name!r}, "
-                      f"{span}.duration, {count})")
-        self.emit(f"if _m is not None: _m.{produced} += {count}")
+               tuples: bool) -> None:
+        """Close it (:meth:`repro.obs.Probe.leave`); ``count`` is a
+        runtime expression for the activation's cardinality."""
+        if self.instrumented:
+            self.emit(f"_p.leave({self.const(plan)}, {span}, {count}, "
+                      f"{tuples})")
 
     # -- entry point --------------------------------------------------------
 
@@ -304,9 +288,7 @@ class _Codegen:
                   "    _strategy = ctx.strategy",
                   "    _lookupv = ctx.lookup_var"]
         if self.instrumented:
-            header += ["    _m = ctx.metrics",
-                       "    _gov = ctx.governor",
-                       "    _tr = ctx.trace"]
+            header.append("    _p = ctx.probe")
         source = "\n".join(header + self.lines) + "\n"
         return source, self.consts, self.breakers
 
@@ -317,7 +299,7 @@ class _Codegen:
         its materialized result list."""
         span = self.begin_op(plan)
         out = self._item_body(plan)
-        self.end_op(plan, span, f"len({out})", "items_produced")
+        self.end_op(plan, span, f"len({out})", False)
         return out
 
     def _item_body(self, plan: ItemPlan) -> str:
@@ -454,7 +436,7 @@ class _Codegen:
             consume()
 
         self._tuples_body(plan, push)
-        self.end_op(plan, span, counter or "0", "tuples_produced")
+        self.end_op(plan, span, counter or "0", True)
 
     def _tuples_body(self, plan: TuplePlan,
                      push: Callable[[], None]) -> None:

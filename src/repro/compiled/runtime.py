@@ -1,15 +1,13 @@
-"""Runtime shims called from generated pipeline code.
+"""Runtime shims shared by generated pipeline code and the interpreter.
 
 The code generator (:mod:`repro.compiled.codegen`) emits plain Python
 loops; everything with interpreter-visible semantics — pattern
 evaluation with its chaos point and error wrapping, context-node
 checking, the dynamic-error raises — funnels through this module so the
-generated source stays small and the behaviour stays byte-identical to
-:mod:`repro.algebra.eval`.
-
-Every helper mirrors one code path of the interpreter, including error
-messages: the differential test wall compares the two backends down to
-the rendered error text.
+generated source stays small.  :mod:`repro.algebra.eval` calls the same
+pattern-evaluation, context-node and typeswitch helpers, so there is one
+copy of the behaviour the differential test wall compares across the
+backends, down to the rendered error text.
 """
 
 from __future__ import annotations
@@ -22,11 +20,12 @@ from ..guard.governor import BudgetExceeded
 from ..algebra.runtime import DynamicError, Sequence_
 from ..xmltree.node import Node
 
-__all__ = ["context_nodes", "raise_dynamic", "ttp_eval", "unknown_field"]
+__all__ = ["context_nodes", "is_numeric_singleton", "raise_dynamic",
+           "ttp_eval", "unknown_field"]
 
 
 def ttp_eval(strategy, document, contexts, pattern):
-    """One pattern evaluation, exactly as ``_eval_ttp`` performs it:
+    """One pattern evaluation of a ``TupleTreePattern`` (both backends):
     through the ``eval.ttp`` chaos point, with budget/dynamic errors
     propagated and any algorithm failure wrapped in
     :class:`~repro.guard.AlgorithmError` (eligible for strategy
@@ -47,13 +46,19 @@ def ttp_eval(strategy, document, contexts, pattern):
 
 def context_nodes(values: Sequence_) -> List[Node]:
     """The pattern's context nodes from a tuple field's item sequence
-    (mirrors ``_context_nodes``)."""
+    (both backends)."""
     nodes: list[Node] = []
     for value in values:
         if not isinstance(value, Node):
             raise DynamicError("tree pattern context is not a node")
         nodes.append(value)
     return nodes
+
+
+def is_numeric_singleton(value: Sequence_) -> bool:
+    """Whether a typeswitch input matches the ``numeric`` case."""
+    return (len(value) == 1 and isinstance(value[0], (int, float))
+            and not isinstance(value[0], bool))
 
 
 def unknown_field(name: str) -> Sequence_:

@@ -20,9 +20,10 @@ physical algorithm choice at execution time.
 from __future__ import annotations
 
 import time
-from contextlib import nullcontext
+from contextlib import contextmanager, nullcontext
 from dataclasses import astuple, dataclass, field
-from typing import Any, Dict, Hashable, List, Optional, Sequence, Tuple
+from typing import (Any, Dict, Hashable, Iterator, List, Optional, Sequence,
+                    Tuple)
 
 from .algebra import (EvalContext, ItemPlan, TupleTreePattern, compile_core,
                       count_operators, eval_item, optimize_plan,
@@ -31,7 +32,7 @@ from .algebra.optimizer import OptimizerOptions
 from .compiled import CodegenError, CompiledPlan, compile_plan
 from .guard import (AlgorithmError, BudgetExceeded, Budgets, FallbackEvent,
                     InputError, ResourceGovernor)
-from .obs import ExecMetrics, PipelineMetrics, PlanCache, TracedRun
+from .obs import ExecMetrics, PipelineMetrics, PlanCache, Probe, TracedRun
 from .pattern import TreePattern
 from .physical import Strategy, make_algorithm
 from .rewrite import RewriteOptions, RewriteTrace, rewrite_to_tpnf
@@ -265,23 +266,21 @@ class Engine:
                 return cached
         metrics = PipelineMetrics()
         with maybe_span(tracing, "compile_pipeline"):
-            with metrics.stage("parse"), maybe_span(tracing, "parse"):
+            with _stage(metrics, tracing, "parse"):
                 surface = resolve_abbreviations(parse_query(query))
-            with metrics.stage("normalize"), \
-                    maybe_span(tracing, "normalize"):
+            with _stage(metrics, tracing, "normalize"):
                 normalized = normalize_query(surface)
             rewrite_trace = RewriteTrace() if trace else None
-            with metrics.stage("rewrite"), maybe_span(tracing, "rewrite"):
+            with _stage(metrics, tracing, "rewrite"):
                 if optimize:
                     tpnf = rewrite_to_tpnf(normalized.core,
                                            options=self.rewrite_options,
                                            trace=rewrite_trace)
                 else:
                     tpnf = normalized.core
-            with metrics.stage("compile"), maybe_span(tracing, "compile"):
+            with _stage(metrics, tracing, "compile"):
                 plan = compile_core(tpnf)
-            with metrics.stage("optimize"), \
-                    maybe_span(tracing, "optimize"):
+            with _stage(metrics, tracing, "optimize"):
                 if optimize:
                     optimized = optimize_plan(
                         plan, options=self.optimizer_options)
@@ -290,14 +289,12 @@ class Engine:
             if self.use_summary:
                 # Built once per document and cached; later compiles
                 # record a (near-zero) cache-hit time for the stage.
-                with metrics.stage("summary"), \
-                        maybe_span(tracing, "summary"):
+                with _stage(metrics, tracing, "summary"):
                     self.document.summary
             # Warm the integer columns the stream joins scan.  Derived
             # once per document (column-first documents carry them from
             # birth); later compiles record a near-zero cache-hit time.
-            with metrics.stage("columnar"), \
-                    maybe_span(tracing, "columnar"):
+            with _stage(metrics, tracing, "columnar"):
                 self.document.columns
             codegen: Dict[str, Any] = {}
             if self.backend == "compiled":
@@ -305,12 +302,8 @@ class Engine:
                 # cost lands in compile (visible as a stage), not in the
                 # first execute; the unoptimized plan — only needed by
                 # the "item" fallback — is generated lazily.
-                with metrics.stage("codegen"), \
-                        maybe_span(tracing, "codegen"):
-                    try:
-                        codegen["optimized"] = compile_plan(optimized)
-                    except CodegenError as err:
-                        codegen["optimized"] = err
+                with _stage(metrics, tracing, "codegen"):
+                    codegen["optimized"] = _codegen(optimized)
         compiled = CompiledQuery(text=query, surface=surface,
                                  normalized=normalized, tpnf=tpnf, plan=plan,
                                  optimized=optimized,
@@ -391,79 +384,73 @@ class Engine:
         exec_span = tracing.begin_span("execute", strategy=requested) \
             if tracing is not None else None
         last = len(attempts) - 1
-        for index, name in enumerate(attempts):
-            governor = None
-            if budgets is not None:
-                # Fresh step/depth counters per attempt; one shared wall
-                # deadline so fallback cannot multiply the timeout.
-                governor = ResourceGovernor(budgets, deadline=deadline,
-                                            trace=tracing)
-                governor.check_clock()
-            attempt_span = tracing.begin_span("attempt", strategy=name) \
-                if tracing is not None else None
-            try:
-                results = self._execute_once(compiled, name, variables,
-                                             optimized, metrics, governor,
-                                             tracing, backend)
-            except (AlgorithmError, BudgetExceeded) as err:
-                # Close the failed attempt's span before (possibly)
-                # opening the next one, so retries nest as siblings.
-                code = getattr(err, "code", type(err).__name__)
-                if attempt_span is not None:
-                    tracing.end_span(attempt_span, error=code)
-                if isinstance(err, AlgorithmError):
-                    if strict:
-                        cause = err.__cause__
-                        if isinstance(cause, Exception):
-                            raise cause
+        try:
+            for index, name in enumerate(attempts):
+                governor = None
+                if budgets is not None:
+                    # Fresh step/depth counters per attempt; one shared
+                    # wall deadline so fallback cannot multiply the
+                    # timeout.
+                    governor = ResourceGovernor(budgets, deadline=deadline,
+                                                trace=tracing)
+                    governor.check_clock()
+                attempt_span = tracing.begin_span("attempt", strategy=name) \
+                    if tracing is not None else None
+                try:
+                    results = self._execute_once(
+                        compiled, name, variables, optimized,
+                        Probe.of(metrics, governor, tracing), backend)
+                except BaseException as err:
+                    # Close the failed attempt's span before (possibly)
+                    # opening the next one, so retries nest as siblings.
+                    if attempt_span is not None:
+                        tracing.end_span(attempt_span, error=_code(err))
+                    if strict and isinstance(err, AlgorithmError) \
+                            and isinstance(err.__cause__, Exception):
+                        raise err.__cause__
+                    retry = not strict and index < last and (
+                        isinstance(err, AlgorithmError)
+                        or (isinstance(err, BudgetExceeded)
+                            and err.kind != "wall"))
+                    if not retry:
                         raise
-                    if index == last:
-                        raise
+                    self._record_fallback(metrics, name,
+                                          attempts[index + 1], err)
+                    if tracing is not None:
+                        tracing.event("fallback", from_strategy=name,
+                                      to_strategy=attempts[index + 1],
+                                      error_code=_code(err))
                 else:
-                    if strict or err.kind == "wall" or index == last:
-                        raise
-                self._record_fallback(metrics, name, attempts[index + 1],
-                                      err)
-                if tracing is not None:
-                    tracing.event("fallback", from_strategy=name,
-                                  to_strategy=attempts[index + 1],
-                                  error_code=code)
-            else:
-                if attempt_span is not None:
-                    tracing.end_span(attempt_span, rows=len(results))
-                    tracing.end_span(exec_span, strategy=name,
-                                     rows=len(results))
-                return results
+                    if attempt_span is not None:
+                        tracing.end_span(attempt_span, rows=len(results))
+                        tracing.end_span(exec_span, strategy=name,
+                                         rows=len(results))
+                    return results
+        except BaseException as err:
+            if exec_span is not None:
+                tracing.end_span(exec_span, error=_code(err))
+            raise
         raise AssertionError("unreachable: attempts is never empty")
 
     def _execute_once(self, compiled: CompiledQuery, strategy_name: str,
                       variables: Optional[Dict[str, Sequence]],
-                      optimized: bool, metrics: Optional[ExecMetrics],
-                      governor: Optional[ResourceGovernor],
-                      tracing: Optional[Trace] = None,
+                      optimized: bool, probe: Optional[Probe],
                       backend: str = "interpreted") -> List:
         # With the summary disabled the choosers must not build one as a
         # construction default either, so they get no document then.
-        chooser_document = self.document if self.use_summary else None
+        document = self.document if self.use_summary else None
+        summary = self.document.summary if self.use_summary else None
         if strategy_name == ITEM_EVALUATOR:
             # The unoptimized plan has no TupleTreePattern operators, so
             # the strategy is never consulted; evaluating it sidesteps
             # every physical algorithm.
-            algorithm = make_algorithm(Strategy.NESTED_LOOP,
-                                       chooser_document)
+            algorithm = make_algorithm(Strategy.NESTED_LOOP, document,
+                                       probe, summary)
             plan = compiled.plan
         else:
-            algorithm = make_algorithm(Strategy(strategy_name),
-                                       chooser_document)
+            algorithm = make_algorithm(Strategy(strategy_name), document,
+                                       probe, summary)
             plan = compiled.optimized if optimized else compiled.plan
-        algorithm.attach_summary(
-            self.document.summary if self.use_summary else None)
-        if metrics is not None:
-            algorithm.attach_metrics(metrics)
-        if governor is not None:
-            algorithm.attach_governor(governor)
-        if tracing is not None:
-            algorithm.attach_trace(tracing)
         bindings: Dict[Var, List] = {}
         root = [self.document.root]
         for name, var in compiled.normalized.global_vars.items():
@@ -473,16 +460,17 @@ class Engine:
                 bindings[var] = list(root)
         bindings[compiled.normalized.context_var] = list(root)
         context = EvalContext(document=self.document, strategy=algorithm,
-                              globals=bindings, metrics=metrics,
-                              governor=governor, trace=tracing)
+                              globals=bindings, probe=probe)
         if backend == "compiled":
+            tracing = probe.trace if probe is not None else None
             role = "optimized" if plan is compiled.optimized else "plan"
             program = self._codegen_for(compiled, role, plan, tracing)
             if isinstance(program, CompiledPlan):
                 return program.run(context)
             # Codegen refused the plan: run interpreted — identical
             # semantics — and record the degradation.
-            self._record_fallback(metrics, "compiled", strategy_name,
+            self._record_fallback(probe.metrics if probe is not None
+                                  else None, "compiled", strategy_name,
                                   program)
             if tracing is not None:
                 tracing.event("fallback", from_strategy="compiled",
@@ -497,14 +485,8 @@ class Engine:
         is charged to the ``codegen`` pipeline stage."""
         entry = compiled.codegen.get(role)
         if entry is None:
-            pipeline = compiled.pipeline_metrics
-            stage = pipeline.stage("codegen") if pipeline is not None \
-                else nullcontext()
-            with stage, maybe_span(tracing, "codegen"):
-                try:
-                    entry = compile_plan(plan)
-                except CodegenError as err:
-                    entry = err
+            with _stage(compiled.pipeline_metrics, tracing, "codegen"):
+                entry = _codegen(plan)
             compiled.codegen[role] = entry
         return entry
 
@@ -515,7 +497,7 @@ class Engine:
             return
         metrics.record_fallback(FallbackEvent(
             from_strategy=from_name, to_strategy=to_name,
-            error_code=getattr(err, "code", type(err).__name__),
+            error_code=_code(err),
             error=getattr(err, "message", str(err))))
 
     def run(self, query: str,
@@ -663,6 +645,30 @@ class Engine:
             chain = [part.strip() for part in chain.split(",")
                      if part.strip()]
         return tuple(self._strategy_name(entry) for entry in chain)
+
+
+@contextmanager
+def _stage(pipeline: Optional[PipelineMetrics], tracing: Optional[Trace],
+           name: str) -> Iterator[None]:
+    """One compilation stage: timed into ``pipeline`` and spanned in
+    ``tracing`` (either may be ``None``)."""
+    with (pipeline.stage(name) if pipeline is not None else nullcontext()), \
+            maybe_span(tracing, name):
+        yield
+
+
+def _codegen(plan: ItemPlan):
+    """The plan's :class:`CompiledPlan`, or the :class:`CodegenError`
+    that refused it."""
+    try:
+        return compile_plan(plan)
+    except CodegenError as err:
+        return err
+
+
+def _code(err: BaseException) -> str:
+    """An error's stable code (its class name when it has none)."""
+    return getattr(err, "code", type(err).__name__)
 
 
 def execute_query(xml_text: str, query: str, **kwargs) -> List:

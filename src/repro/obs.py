@@ -20,10 +20,13 @@ This module provides that visibility for the whole stack:
   eviction accounting, so repeated ``Engine.run()`` calls skip
   recompilation;
 * :class:`TracedRun` — the bundle ``Engine.run_traced`` returns:
-  results plus all of the above.
+  results plus all of the above;
+* :class:`Probe` — the one channel execution reports through: the
+  attempt's metrics, resource governor and span trace behind a few
+  intent-level calls.
 
-Counting discipline: the hot loops increment in *batches* (``+= len(...)``
-once per scan rather than once per node) and only when a metrics object
+Counting discipline: the hot loops report in *batches* (one
+:meth:`Probe.work` per scan rather than per node) and only when a probe
 is attached, so plain ``run()`` calls pay a single ``is None`` check.
 """
 
@@ -254,6 +257,170 @@ def _counter_text(counter: Counter) -> str:
         return "-"
     return ", ".join(f"{name}={count}"
                      for name, count in sorted(counter.items()))
+
+
+# -- the execution probe -------------------------------------------------------
+
+class Probe:
+    """The one instrumentation channel of an execution attempt.
+
+    Bundles the attempt's :class:`ExecMetrics`, resource governor
+    (:class:`repro.guard.ResourceGovernor`) and span trace
+    (:class:`repro.trace.Trace`) — any of them may be ``None`` — behind
+    a few intent-level calls, each replaying the side effects of all
+    three channels in one fixed order.  The engine builds one per
+    attempt with :meth:`of`, which returns ``None`` when every channel
+    is off: uninstrumented code pays one ``probe is None`` check.
+    """
+
+    __slots__ = ("metrics", "governor", "trace")
+
+    def __init__(self, metrics: Optional[ExecMetrics] = None,
+                 governor: Any = None, trace: Any = None) -> None:
+        self.metrics = metrics
+        self.governor = governor
+        self.trace = trace
+
+    @classmethod
+    def of(cls, metrics: Optional[ExecMetrics], governor: Any,
+           trace: Any) -> "Optional[Probe]":
+        """A probe over the given channels, ``None`` when all are off."""
+        if metrics is None and governor is None and trace is None:
+            return None
+        return cls(metrics, governor, trace)
+
+    # -- plan operators ---------------------------------------------------
+
+    def operator(self, plan: Any, run: Any, ctx: Any, tuples: bool) -> Any:
+        """One interpreted operator evaluation ``run(plan, ctx)``:
+        count, span, governor tick + depth, run, output bound, span end
+        with the exact per-operator aggregate, produced count."""
+        name = type(plan).__name__
+        if self.metrics is not None:
+            self.metrics.operator_evals[name] += 1
+        trace = self.trace
+        span = trace.begin_span(name) if trace is not None else None
+        governor = self.governor
+        try:
+            if governor is None:
+                result = run(plan, ctx)
+            else:
+                governor.tick()
+                governor.enter()
+                try:
+                    result = run(plan, ctx)
+                finally:
+                    governor.leave()
+                governor.note_output(len(result))
+        except BaseException:
+            if span is not None:
+                trace.end_span(span, error=True)
+            raise
+        self._close(plan, span, len(result), tuples)
+        return result
+
+    def enter(self, name: str) -> Any:
+        """Open one operator activation (the compiled backend calls this
+        and :meth:`leave` around each fused stage); returns its span."""
+        if self.metrics is not None:
+            self.metrics.operator_evals[name] += 1
+        span = self.trace.begin_span(name) \
+            if self.trace is not None else None
+        governor = self.governor
+        if governor is not None:
+            governor.tick()
+            governor.enter()
+        return span
+
+    def leave(self, plan: Any, span: Any, count: int, tuples: bool) -> None:
+        """Close an activation opened by :meth:`enter` that produced
+        ``count`` items (or tuples, when ``tuples``)."""
+        governor = self.governor
+        if governor is not None:
+            governor.leave()
+            governor.note_output(count)
+        self._close(plan, span, count, tuples)
+
+    def _close(self, plan: Any, span: Any, count: int, tuples: bool) -> None:
+        if span is not None:
+            name = type(plan).__name__
+            self.trace.end_span(span, rows=count)
+            self.trace.record_op(id(plan), name, span.duration, count)
+        metrics = self.metrics
+        if metrics is not None:
+            if tuples:
+                metrics.tuples_produced += count
+            else:
+                metrics.items_produced += count
+
+    # -- pattern algorithms -----------------------------------------------
+
+    def pattern(self, algorithm: Any, document: Any, contexts: List[Any],
+                pattern: Any) -> List[Any]:
+        """One pattern evaluation by ``algorithm``: a
+        ``pattern:<name>`` span around the count, a step plus a clock
+        read, and the algorithm's own work."""
+        trace = self.trace
+        span = trace.begin_span(f"pattern:{algorithm.name}",
+                                contexts=len(contexts)) \
+            if trace is not None else None
+        try:
+            if self.metrics is not None:
+                self.metrics.pattern_evals += 1
+            if self.governor is not None:
+                # A pattern evaluation is coarse enough to afford a
+                # clock read on top of the step charge.
+                self.governor.tick()
+                self.governor.check_clock()
+            result = algorithm._evaluate(document, contexts, pattern)
+        except BaseException:
+            if span is not None:
+                trace.end_span(span, error=True)
+            raise
+        if span is not None:
+            trace.end_span(span, rows=len(result))
+        return result
+
+    def prune(self, hit: bool, pattern: Any) -> None:
+        """A structural-summary prefilter check: ``hit`` when it proved
+        the pattern empty."""
+        if hit:
+            if self.metrics is not None:
+                self.metrics.prune_hits += 1
+            if self.trace is not None:
+                self.trace.event("prune_hit",
+                                 pattern=pattern.path.to_string())
+        elif self.metrics is not None:
+            self.metrics.prune_misses += 1
+
+    def work(self, algorithm: str, steps: Optional[int] = None, *,
+             visited: Optional[int] = None, scanned: Optional[int] = None,
+             pushes: Optional[int] = None) -> None:
+        """A batch of an algorithm's work: counters by algorithm name
+        (a counter passed as 0 still registers the name), then ``steps``
+        charged to the governor."""
+        metrics = self.metrics
+        if metrics is not None:
+            if scanned is not None:
+                metrics.stream_scanned[algorithm] += scanned
+            if visited is not None:
+                metrics.nodes_visited[algorithm] += visited
+            if pushes is not None:
+                metrics.stack_pushes[algorithm] += pushes
+        if steps is not None and self.governor is not None:
+            self.governor.tick(steps)
+
+    def decision(self, chooser: str, algorithm: str,
+                 **inputs: float) -> None:
+        """A chooser picked ``algorithm``: recorded with its inputs, an
+        event, one step."""
+        if self.metrics is not None:
+            self.metrics.record_decision(chooser, algorithm, **inputs)
+        if self.trace is not None:
+            self.trace.event("decision", chooser=chooser,
+                             algorithm=algorithm)
+        if self.governor is not None:
+            self.governor.tick()
 
 
 # -- plan cache ----------------------------------------------------------------

@@ -19,23 +19,29 @@ operator calls; it dispatches between the two semantics.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, TYPE_CHECKING
+from typing import Dict, List, Optional
 
-from ..guard.governor import ResourceGovernor
-from ..obs import ExecMetrics
+from ..obs import Probe
 from ..pattern import PatternPath, TreePattern
 from ..xmltree.document import IndexedDocument, ddo
 from ..xmltree.node import Node
 from ..xmltree.summary import PathSummary
 
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from ..trace import Trace
-
 Binding = Dict[str, Node]
 
 
 class TreePatternAlgorithm:
-    """Base class of NLJoin, TwigJoin and SCJoin."""
+    """Base class of NLJoin, TwigJoin and SCJoin.
+
+    ``probe`` is the execution's instrumentation channel (counters,
+    step budgets, spans — see :class:`repro.obs.Probe`); ``None`` (the
+    default) disables all of it, so plain runs pay one ``is None`` check
+    per scan.  ``summary`` is the structural summary of the queried
+    document: when given, :meth:`evaluate` consults it to skip pattern
+    evaluations that provably cannot match (see
+    :mod:`repro.xmltree.summary`).  Algorithms that delegate (fallbacks,
+    choosers) hand both to their inner algorithms at construction.
+    """
 
     name = "abstract"
 
@@ -47,60 +53,10 @@ class TreePatternAlgorithm:
     #: per binding.
     is_pipeline_breaker = True
 
-    #: counters this algorithm's work is recorded into; ``None`` (the
-    #: default) disables all counting so plain runs pay one ``is None``
-    #: check per scan.
-    metrics: Optional[ExecMetrics] = None
-
-    #: resource budgets this algorithm's work is charged against;
-    #: ``None`` (the default) disables all checking — like ``metrics``,
-    #: ungoverned runs pay one ``is None`` check per scan.
-    governor: Optional[ResourceGovernor] = None
-
-    #: structural summary of the document being queried; when attached,
-    #: :meth:`evaluate` consults it to skip pattern evaluations that
-    #: provably cannot match (see :mod:`repro.xmltree.summary`).
-    summary: Optional[PathSummary] = None
-
-    #: span trace this algorithm's pattern evaluations are recorded
-    #: into; ``None`` (the default) disables tracing — same one-check
-    #: discipline as ``metrics``/``governor``.
-    trace: "Optional[Trace]" = None
-
-    def attach_metrics(self, metrics: Optional[ExecMetrics]) -> None:
-        """Route this algorithm's counters into ``metrics``.
-
-        Subclasses that delegate (fallbacks, choosers) override this to
-        attach the same object to their inner algorithms.
-        """
-        self.metrics = metrics
-
-    def attach_governor(self, governor: Optional[ResourceGovernor]) -> None:
-        """Charge this algorithm's work against ``governor``'s budgets.
-
-        Subclasses that delegate (fallbacks, choosers) override this to
-        attach the same object to their inner algorithms.
-        """
-        self.governor = governor
-
-    def attach_summary(self, summary: Optional[PathSummary]) -> None:
-        """Use ``summary`` as the pattern prefilter for :meth:`evaluate`
-        (``None`` disables pruning).
-
-        Subclasses that delegate (choosers) override this to attach the
-        same object to their inner algorithms.
-        """
+    def __init__(self, probe: Optional[Probe] = None,
+                 summary: Optional[PathSummary] = None) -> None:
+        self.probe = probe
         self.summary = summary
-
-    def attach_trace(self, trace: "Optional[Trace]") -> None:
-        """Record this algorithm's pattern evaluations as spans of
-        ``trace`` (one ``pattern:<name>`` span per :meth:`evaluate`
-        call, prune decisions as events).
-
-        Subclasses that delegate (fallbacks, choosers) override this to
-        attach the same object to their inner algorithms.
-        """
-        self.trace = trace
 
     def match_single(self, document: IndexedDocument,
                      contexts: List[Node], path: PatternPath) -> List[Node]:
@@ -113,43 +69,23 @@ class TreePatternAlgorithm:
     def evaluate(self, document: IndexedDocument, contexts: List[Node],
                  pattern: TreePattern) -> List[Binding]:
         """Evaluate a pattern for one input tuple's context nodes."""
-        trace = self.trace
-        if trace is None:
+        if self.probe is None:
             return self._evaluate(document, contexts, pattern)
-        span = trace.begin_span(f"pattern:{self.name}",
-                                contexts=len(contexts))
-        try:
-            result = self._evaluate(document, contexts, pattern)
-        except BaseException:
-            trace.end_span(span, error=True)
-            raise
-        trace.end_span(span, rows=len(result))
-        return result
+        return self.probe.pattern(self, document, contexts, pattern)
 
     def _evaluate(self, document: IndexedDocument, contexts: List[Node],
                   pattern: TreePattern) -> List[Binding]:
-        if self.metrics is not None:
-            self.metrics.pattern_evals += 1
-        if self.governor is not None:
-            # A pattern evaluation is coarse enough to afford a clock
-            # read on top of the step charge.
-            self.governor.tick()
-            self.governor.check_clock()
         summary = self.summary
         if (summary is not None and summary.document is document
                 and contexts):
             # The structural prefilter: when no summary path can embed
             # the pattern from these contexts, the result is provably
             # empty and no algorithm needs to run.
-            if not summary.can_match(pattern.path, contexts):
-                if self.metrics is not None:
-                    self.metrics.prune_hits += 1
-                if self.trace is not None:
-                    self.trace.event("prune_hit",
-                                     pattern=pattern.path.to_string())
+            pruned = not summary.can_match(pattern.path, contexts)
+            if self.probe is not None:
+                self.probe.prune(pruned, pattern)
+            if pruned:
                 return []
-            if self.metrics is not None:
-                self.metrics.prune_misses += 1
         if pattern.is_single_output_at_extraction_point():
             out_field = pattern.extraction_point.output_field
             assert out_field is not None

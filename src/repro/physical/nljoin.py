@@ -53,12 +53,11 @@ class NLJoin(TreePatternAlgorithm):
                          pattern_step: PatternStep) -> List[Node]:
         """One step from one context: axis, then branches, then position."""
         candidates = axis_step(context, pattern_step.axis, pattern_step.test)
-        if self.metrics is not None:
-            self.metrics.nodes_visited[self.name] += len(candidates)
-        if self.governor is not None:
-            # +1 so empty steps in deep recursions still make progress
-            # against the step budget.
-            self.governor.tick(len(candidates) + 1)
+        if self.probe is not None:
+            # +1 step so empty steps in deep recursions still make
+            # progress against the step budget.
+            self.probe.work(self.name, len(candidates) + 1,
+                            visited=len(candidates))
         survivors = [candidate for candidate in candidates
                      if self._satisfies(candidate, pattern_step)]
         if pattern_step.position is None:

@@ -47,20 +47,9 @@ class StackTreeJoin(TreePatternAlgorithm):
 
     name = "stacktree"
 
-    def __init__(self) -> None:
-        self._fallback = NLJoin()
-
-    def attach_metrics(self, metrics) -> None:
-        super().attach_metrics(metrics)
-        self._fallback.attach_metrics(metrics)
-
-    def attach_governor(self, governor) -> None:
-        super().attach_governor(governor)
-        self._fallback.attach_governor(governor)
-
-    def attach_trace(self, trace) -> None:
-        super().attach_trace(trace)
-        self._fallback.attach_trace(trace)
+    def __init__(self, probe=None, summary=None) -> None:
+        super().__init__(probe, summary)
+        self._fallback = NLJoin(probe)
 
     # -- public API -----------------------------------------------------------
 
@@ -72,8 +61,7 @@ class StackTreeJoin(TreePatternAlgorithm):
         for step in path.steps:
             candidates = self._qualified_candidates(document, step)
             current = stack_tree_descendants(current, candidates, step.axis,
-                                             metrics=self.metrics,
-                                             governor=self.governor)
+                                             probe=self.probe)
         return chaos_point("stacktree.match", current)
 
     def enumerate_bindings(self, document: IndexedDocument, context: Node,
@@ -89,10 +77,9 @@ class StackTreeJoin(TreePatternAlgorithm):
         """All document elements matching the step's test whose predicate
         branches are satisfied (computed bottom-up, list-at-a-time)."""
         candidates = _stream(document, step)
-        if self.metrics is not None:
-            self.metrics.stream_scanned[self.name] += len(candidates)
-        if self.governor is not None:
-            self.governor.tick(len(candidates) + 1)
+        if self.probe is not None:
+            self.probe.work(self.name, len(candidates) + 1,
+                            scanned=len(candidates))
         for branch in step.predicates:
             candidates = self._filter_by_branch(document, candidates, branch)
         return candidates
@@ -158,18 +145,16 @@ def _dedup_sorted(nodes: List[Node]) -> List[Node]:
 
 
 def stack_tree_descendants(ancestors: List[Node], descendants: List[Node],
-                           axis: Axis, metrics=None,
-                           governor=None) -> List[Node]:
+                           axis: Axis, probe=None) -> List[Node]:
     """Stack-Tree-Desc, descendant-major semi-join.
 
     Both inputs sorted by ``pre``; returns the distinct descendants that
     stand in ``axis`` relation to some ancestor, in document order —
     one merge sweep with a stack of open ancestors.
     """
-    if metrics is not None:
-        metrics.nodes_visited[StackTreeJoin.name] += len(descendants)
-    if governor is not None:
-        governor.tick(len(descendants) + 1)
+    if probe is not None:
+        probe.work(StackTreeJoin.name, len(descendants) + 1,
+                   visited=len(descendants))
     include_self = axis is Axis.DESCENDANT_OR_SELF
     result: list[Node] = []
     stack: list[Node] = []
@@ -202,8 +187,8 @@ def stack_tree_descendants(ancestors: List[Node], descendants: List[Node],
                 result.append(descendant)
         elif stack[-1].pre < descendant.pre:
             result.append(descendant)
-    if metrics is not None:
-        metrics.stack_pushes[StackTreeJoin.name] += pushes
+    if probe is not None:
+        probe.work(StackTreeJoin.name, pushes=pushes)
     return result
 
 

@@ -55,20 +55,9 @@ class StaircaseJoin(TreePatternAlgorithm):
 
     name = "scjoin"
 
-    def __init__(self) -> None:
-        self._fallback = NLJoin()
-
-    def attach_metrics(self, metrics) -> None:
-        super().attach_metrics(metrics)
-        self._fallback.attach_metrics(metrics)
-
-    def attach_governor(self, governor) -> None:
-        super().attach_governor(governor)
-        self._fallback.attach_governor(governor)
-
-    def attach_trace(self, trace) -> None:
-        super().attach_trace(trace)
-        self._fallback.attach_trace(trace)
+    def __init__(self, probe=None, summary=None) -> None:
+        super().__init__(probe, summary)
+        self._fallback = NLJoin(probe)
 
     # -- public API -----------------------------------------------------------
 
@@ -109,12 +98,13 @@ class StaircaseJoin(TreePatternAlgorithm):
         if not contexts:
             return []
         axis = step.axis
-        if self.governor is not None:
-            self.governor.tick(len(contexts) + 1)
+        probe = self.probe
+        if probe is not None:
+            probe.work(self.name, len(contexts) + 1)
         if axis is Axis.SELF:
             kind = axis.principal_kind
-            if self.metrics is not None:
-                self.metrics.nodes_visited[self.name] += len(contexts)
+            if probe is not None:
+                probe.work(self.name, visited=len(contexts))
             test = step.test
             return [pre for pre in contexts
                     if columns.test_matches(pre, test, kind)]
@@ -125,9 +115,8 @@ class StaircaseJoin(TreePatternAlgorithm):
             for context in contexts:
                 if kind_column[context] == KIND_ELEMENT:
                     attributes = columns.attributes_of(context)
-                    if self.metrics is not None:
-                        self.metrics.nodes_visited[self.name] += \
-                            len(attributes)
+                    if probe is not None:
+                        probe.work(self.name, visited=len(attributes))
                     result.extend(
                         pre for pre in attributes
                         if columns.test_matches(pre, test, "attribute"))
@@ -154,11 +143,9 @@ class StaircaseJoin(TreePatternAlgorithm):
             low = bisect_left(pres, low_key)
             high = bisect_right(pres, end_column[context])
             result.extend(pres[low:high])
-        if self.metrics is not None:
-            self.metrics.stream_scanned[self.name] += len(result)
-            self.metrics.nodes_visited[self.name] += len(result)
-        if self.governor is not None:
-            self.governor.tick(len(result))
+        if self.probe is not None:
+            self.probe.work(self.name, len(result), scanned=len(result),
+                            visited=len(result))
         return result
 
     def _child_join(self, columns: ColumnarDocument,
@@ -179,11 +166,9 @@ class StaircaseJoin(TreePatternAlgorithm):
             previous_end = max(previous_end, end)
             low = bisect_left(pres, context + 1)
             high = bisect_right(pres, end)
-            if self.metrics is not None:
-                self.metrics.stream_scanned[self.name] += high - low
-                self.metrics.nodes_visited[self.name] += high - low
-            if self.governor is not None:
-                self.governor.tick(high - low + 1)
+            if self.probe is not None:
+                self.probe.work(self.name, high - low + 1,
+                                scanned=high - low, visited=high - low)
             merged.extend(pre for pre in pres[low:high]
                           if parent_column[pre] == context)
         if nested:

@@ -18,13 +18,14 @@ in the simple stream-statistics cost model it consults.
 from __future__ import annotations
 
 from enum import Enum
-from typing import Optional
+from typing import Dict, Optional, Tuple
 
 from ..guard.chaos import chaos_point
-from ..obs import ExecMetrics
+from ..obs import ExecMetrics, Probe
 from ..pattern import PatternPath, TreePattern
 from ..xmltree.document import IndexedDocument
 from ..xmltree.nodetest import NameTest
+from ..xmltree.summary import PathSummary
 from .base import TreePatternAlgorithm
 from .cost import CostModel
 from .nljoin import NLJoin
@@ -59,16 +60,18 @@ _INSTANCES = {
 
 
 def make_algorithm(strategy: Strategy | str,
-                   document: Optional[IndexedDocument] = None
+                   document: Optional[IndexedDocument] = None,
+                   probe: Optional[Probe] = None,
+                   summary: Optional[PathSummary] = None
                    ) -> TreePatternAlgorithm:
     """Instantiate the algorithm for a strategy (AUTO/COST need a
-    document)."""
+    document), wired to ``probe`` and pruning with ``summary``."""
     strategy = Strategy(strategy)
     if strategy is Strategy.AUTO:
-        return HeuristicChooser(document)
+        return HeuristicChooser(document, probe, summary)
     if strategy is Strategy.COST:
-        return CostBasedChooser(document)
-    return _INSTANCES[strategy]()
+        return CostBasedChooser(document, probe, summary)
+    return _INSTANCES[strategy](probe, summary)
 
 
 def pattern_complexity(path: PatternPath) -> int:
@@ -95,7 +98,54 @@ def estimated_stream_size(document: IndexedDocument,
     return total
 
 
-class HeuristicChooser(TreePatternAlgorithm):
+class _Chooser(TreePatternAlgorithm):
+    """Per-evaluation dispatch to one of ``self.algorithms``.
+
+    Choosers always record their decisions: without a probe that
+    counts (plain runs), they count into a private
+    :class:`~repro.obs.ExecMetrics` (a bounded ring plus an exact tally,
+    so long-running engines never leak).  The summary defaults to the
+    document's own.
+    """
+
+    #: the algorithm classes this chooser dispatches to.
+    candidates: Tuple[type, ...] = ()
+
+    def __init__(self, document: Optional[IndexedDocument] = None,
+                 probe: Optional[Probe] = None,
+                 summary: Optional[PathSummary] = None) -> None:
+        if probe is None:
+            probe = Probe(ExecMetrics())
+        elif probe.metrics is None:
+            probe = Probe(ExecMetrics(), probe.governor, probe.trace)
+        if summary is None and document is not None:
+            summary = document.summary
+        super().__init__(probe, summary)
+        self.document = document
+        self.algorithms: Dict[str, TreePatternAlgorithm] = {
+            algorithm.name: algorithm(probe) for algorithm in self.candidates}
+
+    @property
+    def metrics(self) -> ExecMetrics:
+        """The counters decisions are recorded into."""
+        return self.probe.metrics
+
+    @property
+    def decisions(self) -> list:
+        """Recently chosen algorithm names (bounded; the exact tally is
+        ``self.metrics.decision_counts``)."""
+        return [record.algorithm for record in self.metrics.decision_ring]
+
+    def match_single(self, document, contexts, path):
+        return self.choose(document, contexts, path).match_single(
+            document, contexts, path)
+
+    def enumerate_bindings(self, document, context, path):
+        return self.choose(document, [context], path).enumerate_bindings(
+            document, context, path)
+
+
+class HeuristicChooser(_Chooser):
     """Per-evaluation dispatch between NL, Twig and Staircase.
 
     The decision uses the heuristics derived in Section 5:
@@ -107,53 +157,10 @@ class HeuristicChooser(TreePatternAlgorithm):
     """
 
     name = "auto"
+    candidates = (NLJoin, TwigJoin, StaircaseJoin)
 
     #: visit/scan cost ratio below which navigation is preferred.
     NAVIGATION_THRESHOLD = 0.25
-
-    def __init__(self, document: Optional[IndexedDocument] = None) -> None:
-        self.document = document
-        self.nljoin = NLJoin()
-        self.twigjoin = TwigJoin()
-        self.scjoin = StaircaseJoin()
-        # Decision recording lives in ExecMetrics (bounded ring + exact
-        # tally) so long-running engines never leak; the engine swaps in
-        # its own metrics object via attach_metrics.
-        self.attach_metrics(ExecMetrics())
-        if document is not None:
-            self.attach_summary(document.summary)
-
-    def attach_metrics(self, metrics) -> None:
-        if metrics is None:   # choosers always record decisions
-            metrics = ExecMetrics()
-        super().attach_metrics(metrics)
-        self.nljoin.attach_metrics(metrics)
-        self.twigjoin.attach_metrics(metrics)
-        self.scjoin.attach_metrics(metrics)
-
-    def attach_governor(self, governor) -> None:
-        super().attach_governor(governor)
-        self.nljoin.attach_governor(governor)
-        self.twigjoin.attach_governor(governor)
-        self.scjoin.attach_governor(governor)
-
-    def attach_summary(self, summary) -> None:
-        super().attach_summary(summary)
-        self.nljoin.attach_summary(summary)
-        self.twigjoin.attach_summary(summary)
-        self.scjoin.attach_summary(summary)
-
-    def attach_trace(self, trace) -> None:
-        super().attach_trace(trace)
-        self.nljoin.attach_trace(trace)
-        self.twigjoin.attach_trace(trace)
-        self.scjoin.attach_trace(trace)
-
-    @property
-    def decisions(self) -> list:
-        """Recently chosen algorithm names (bounded; the exact tally is
-        ``self.metrics.decision_counts``)."""
-        return [record.algorithm for record in self.metrics.decision_ring]
 
     def choose(self, document: IndexedDocument, contexts,
                path: PatternPath) -> TreePatternAlgorithm:
@@ -161,82 +168,27 @@ class HeuristicChooser(TreePatternAlgorithm):
                      for context in contexts)
         streams = max(estimated_stream_size(document, path), 1)
         if region < streams * self.NAVIGATION_THRESHOLD:
-            chosen: TreePatternAlgorithm = self.nljoin
+            chosen = "nljoin"
         elif any(step.predicates for step in path.steps):
-            chosen = self.twigjoin
+            chosen = "twigjoin"
         else:
-            chosen = self.scjoin
-        self.metrics.record_decision(self.name, chosen.name,
-                                     region=region, streams=streams)
-        if self.trace is not None:
-            self.trace.event("decision", chooser=self.name,
-                             algorithm=chosen.name)
-        if self.governor is not None:
-            self.governor.tick()
-        chaos_point("auto.choose", chosen.name)
-        return chosen
-
-    def match_single(self, document, contexts, path):
-        return self.choose(document, contexts, path).match_single(
-            document, contexts, path)
-
-    def enumerate_bindings(self, document, context, path):
-        return self.choose(document, [context], path).enumerate_bindings(
-            document, context, path)
+            chosen = "scjoin"
+        self.probe.decision(self.name, chosen, region=region,
+                            streams=streams)
+        chaos_point("auto.choose", chosen)
+        return self.algorithms[chosen]
 
 
-class CostBasedChooser(TreePatternAlgorithm):
+class CostBasedChooser(_Chooser):
     """Per-evaluation dispatch driven by the cost model of
     :mod:`repro.physical.cost` — the "accurate cost model" the paper's
     conclusion calls for, covering all four algorithms (including the
     streaming matcher)."""
 
     name = "cost"
+    candidates = (NLJoin, TwigJoin, StaircaseJoin, StreamingXPath)
 
-    def __init__(self, document: Optional[IndexedDocument] = None) -> None:
-        self.document = document
-        self._model: Optional["CostModel"] = None
-        self.algorithms: dict[str, TreePatternAlgorithm] = {
-            "nljoin": NLJoin(),
-            "twigjoin": TwigJoin(),
-            "scjoin": StaircaseJoin(),
-            "streaming": StreamingXPath(),
-        }
-        self.attach_metrics(ExecMetrics())
-        if document is not None:
-            self.attach_summary(document.summary)
-
-    def attach_metrics(self, metrics) -> None:
-        if metrics is None:   # choosers always record decisions
-            metrics = ExecMetrics()
-        super().attach_metrics(metrics)
-        for algorithm in self.algorithms.values():
-            algorithm.attach_metrics(metrics)
-
-    def attach_governor(self, governor) -> None:
-        super().attach_governor(governor)
-        for algorithm in self.algorithms.values():
-            algorithm.attach_governor(governor)
-
-    def attach_summary(self, summary) -> None:
-        super().attach_summary(summary)
-        # The cost model is summary-aware too: detaching the summary
-        # (the --no-summary escape hatch) also reverts its estimates to
-        # the flat tag-count statistics.
-        self._model = None
-        for algorithm in self.algorithms.values():
-            algorithm.attach_summary(summary)
-
-    def attach_trace(self, trace) -> None:
-        super().attach_trace(trace)
-        for algorithm in self.algorithms.values():
-            algorithm.attach_trace(trace)
-
-    @property
-    def decisions(self) -> list:
-        """Recently chosen algorithm names (bounded; the exact tally is
-        ``self.metrics.decision_counts``)."""
-        return [record.algorithm for record in self.metrics.decision_ring]
+    _model: Optional[CostModel] = None
 
     def model_for(self, document: IndexedDocument) -> "CostModel":
         use_summary = (self.summary is not None
@@ -260,21 +212,8 @@ class CostBasedChooser(TreePatternAlgorithm):
                path: PatternPath) -> TreePatternAlgorithm:
         estimate = self.model_for(document).estimate(list(contexts), path)
         name = estimate.best()
-        self.metrics.record_decision(
+        self.probe.decision(
             self.name, name,
             **{f"cost_{algo}": cost for algo, cost in estimate.costs.items()})
-        if self.trace is not None:
-            self.trace.event("decision", chooser=self.name,
-                             algorithm=name)
-        if self.governor is not None:
-            self.governor.tick()
         chaos_point("cost.choose", name)
         return self.algorithms[name]
-
-    def match_single(self, document, contexts, path):
-        return self.choose(document, contexts, path).match_single(
-            document, contexts, path)
-
-    def enumerate_bindings(self, document, context, path):
-        return self.choose(document, [context], path).enumerate_bindings(
-            document, context, path)

@@ -59,20 +59,9 @@ class StreamingXPath(TreePatternAlgorithm):
 
     name = "streaming"
 
-    def __init__(self) -> None:
-        self._fallback = NLJoin()
-
-    def attach_metrics(self, metrics) -> None:
-        super().attach_metrics(metrics)
-        self._fallback.attach_metrics(metrics)
-
-    def attach_governor(self, governor) -> None:
-        super().attach_governor(governor)
-        self._fallback.attach_governor(governor)
-
-    def attach_trace(self, trace) -> None:
-        super().attach_trace(trace)
-        self._fallback.attach_trace(trace)
+    def __init__(self, probe=None, summary=None) -> None:
+        super().__init__(probe, summary)
+        self._fallback = NLJoin(probe)
 
     def match_single(self, document: IndexedDocument,
                      contexts: List[Node], path: PatternPath) -> List[Node]:
@@ -180,7 +169,9 @@ class StreamingXPath(TreePatternAlgorithm):
                     if query.on_spine:
                         anchor.pending.extend(candidacy.pending)
 
-        governor = self.governor
+        # Charged per event: read the governor once, not per call.
+        probe = self.probe
+        governor = probe.governor if probe is not None else None
         for kind, node in _events(context):
             if kind == ENTER:
                 events_seen += 1
@@ -189,9 +180,9 @@ class StreamingXPath(TreePatternAlgorithm):
                 on_enter(node)
             else:
                 on_leave(node)
-        if self.metrics is not None:
-            self.metrics.nodes_visited[self.name] += events_seen
-            self.metrics.stack_pushes[self.name] += candidacy_pushes
+        if probe is not None:
+            probe.work(self.name, visited=events_seen,
+                       pushes=candidacy_pushes)
         return results
 
 

@@ -107,20 +107,9 @@ class TwigJoin(TreePatternAlgorithm):
 
     name = "twigjoin"
 
-    def __init__(self) -> None:
-        self._fallback = NLJoin()
-
-    def attach_metrics(self, metrics) -> None:
-        super().attach_metrics(metrics)
-        self._fallback.attach_metrics(metrics)
-
-    def attach_governor(self, governor) -> None:
-        super().attach_governor(governor)
-        self._fallback.attach_governor(governor)
-
-    def attach_trace(self, trace) -> None:
-        super().attach_trace(trace)
-        self._fallback.attach_trace(trace)
+    def __init__(self, probe=None, summary=None) -> None:
+        super().__init__(probe, summary)
+        self._fallback = NLJoin(probe)
 
     # -- public API -----------------------------------------------------------
 
@@ -147,8 +136,7 @@ class TwigJoin(TreePatternAlgorithm):
         nodes: List[_QueryNode] = []
         root = _build_query_tree(path, on_spine=True, nodes=nodes)
         matches = _twig_matches(columns, context.pre, context.end, root,
-                                nodes, metrics=self.metrics,
-                                governor=self.governor)
+                                nodes, probe=self.probe)
         bindings: List[Binding] = []
         for match in matches:
             binding: Binding = {}
@@ -171,8 +159,7 @@ class TwigJoin(TreePatternAlgorithm):
             spine_leaf = next_spine[0]
         return spine_leaf.index, _twig_matches(columns, context.pre,
                                                context.end, root, nodes,
-                                               metrics=self.metrics,
-                                               governor=self.governor)
+                                               probe=self.probe)
 
 
 def _supported(path: PatternPath) -> bool:
@@ -227,29 +214,27 @@ def _region_slice(pres: Sequence[int], context_pre: int, context_end: int,
 
 def _twig_matches(columns: ColumnarDocument, context_pre: int,
                   context_end: int, root: _QueryNode,
-                  nodes: List[_QueryNode], metrics=None,
-                  governor=None) -> list:
+                  nodes: List[_QueryNode], probe=None) -> list:
     for query_node in nodes:
         query_node.stream = _stream_for(columns, context_pre, context_end,
                                         query_node)
         query_node.stack = []
         query_node.candidates = []
     total_stream = sum(len(query_node.stream) for query_node in nodes)
-    if metrics is not None:
-        metrics.stream_scanned[TwigJoin.name] += total_stream
-    if governor is not None:
+    if probe is not None:
         # Pre-charge the sweep about to happen so the budget trips
         # before the work, not after.
-        governor.tick(total_stream + 1)
-    _stack_phase(columns, context_pre, context_end, nodes, metrics=metrics)
+        probe.work(TwigJoin.name, total_stream + 1, scanned=total_stream)
+    _stack_phase(columns, context_pre, context_end, nodes, probe)
     if any(not query_node.candidates for query_node in nodes):
         return []
-    return _expand(columns, context_pre, root, nodes, governor=governor)
+    return _expand(columns, context_pre, root, nodes,
+                   probe.governor if probe is not None else None)
 
 
 def _stack_phase(columns: ColumnarDocument, context_pre: int,
                  context_end: int, nodes: List[_QueryNode],
-                 metrics=None) -> None:
+                 probe) -> None:
     """Sweep all streams in document order, keeping per-query-node stacks
     of open elements; an element is a candidate when an element of its
     parent query node (or the context, for roots) is open."""
@@ -283,9 +268,8 @@ def _stack_phase(columns: ColumnarDocument, context_pre: int,
         pushes += 1
         query_node.candidates.append(pre)
         candidates_kept += 1
-    if metrics is not None:
-        metrics.stack_pushes[TwigJoin.name] += pushes
-        metrics.nodes_visited[TwigJoin.name] += candidates_kept
+    if probe is not None:
+        probe.work(TwigJoin.name, pushes=pushes, visited=candidates_kept)
 
 
 def _candidates_under(columns: ColumnarDocument, query_node: _QueryNode,
@@ -332,7 +316,7 @@ def _branch_exists(columns: ColumnarDocument, query_node: _QueryNode,
 
 
 def _expand(columns: ColumnarDocument, context_pre: int, root: _QueryNode,
-            nodes: List[_QueryNode], governor=None) -> list:
+            nodes: List[_QueryNode], governor) -> list:
     """Merge candidates into full matches, enforcing exact axes.
 
     Spine nodes are enumerated; branch nodes without output annotations

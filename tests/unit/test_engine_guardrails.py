@@ -286,6 +286,38 @@ class TestTracedRunVisibility:
         data = traced.metrics.to_dict()
         assert data["fallbacks"][0]["from"] == "scjoin"
 
+    @pytest.mark.parametrize("backend", ["interpreted", "compiled"])
+    def test_failed_executes_close_their_spans(self, people_engine,
+                                               backend):
+        """A retry on the same trace (what the service's attempt loop
+        does) must open a sibling ``execute`` span, not nest under the
+        failed attempt."""
+        from repro.guard import ReproError
+        from repro.trace import Tracer
+        failing = [
+            (people_engine.compile("$input//name + 1"), {}),
+            (people_engine.compile(QUERY),
+             {"budgets": Budgets(max_steps=3), "strict": True}),
+        ]
+        trace = Tracer().begin("request")
+        codes = []
+        for compiled, options in failing:
+            with pytest.raises(ReproError) as exc:
+                people_engine.execute(compiled, tracing=trace,
+                                      backend=backend, **options)
+            codes.append(exc.value.code)
+        trace.finish()
+        assert codes == ["REPRO-DYNAMIC", "REPRO-BUDGET-STEPS"]
+        executes = [span for span in trace.spans if span.name == "execute"]
+        assert len(executes) == 2
+        assert all(span.parent_id == trace.root.span_id
+                   for span in executes)
+        assert [span.attrs.get("error") for span in executes] == codes
+        attempts = [span for span in trace.spans if span.name == "attempt"]
+        assert [span.parent_id for span in attempts] == \
+            [span.span_id for span in executes]
+        assert [span.attrs.get("error") for span in attempts] == codes
+
 
 class TestCli:
     def run_cli(self, argv, capsys):
